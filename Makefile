@@ -86,10 +86,16 @@ pipeline-smoke:
 	  --pipeline-depth 4
 
 # CI robustness smoke: fault-injection campaign; fails unless every
-# tampering fault (bit flip, replay) was detected. Fully deterministic.
+# tampering fault (bit flip, replay) was detected, and unless the
+# report's deterministic view (all but the environment block) is
+# byte-identical to the committed baseline -- a hard gate on the
+# seal/open/fault sequence.
 faults-smoke:
 	$(PYTHON) -m repro faults run --smoke \
 	  --out generated/BENCH_faults.json --require-detection
+	$(PYTHON) tools/report_determinism.py \
+	  benchmarks/baselines/BENCH_faults_smoke.json \
+	  generated/BENCH_faults.json
 
 # CI telemetry smoke: trace an L12 AB cell, validate the Chrome trace
 # against the schema checker, and bound the telemetry overhead.
@@ -118,9 +124,9 @@ serve-smoke:
 # resilient loop. Fails unless availability floors hold and every
 # tampering fault (bit flip, replay) was detected *while serving*.
 # Runs twice -- serial and over two spawn workers -- and requires the
-# deterministic report view byte-identical across the two, then
-# soft-compares availability/p99-under-fault against the committed
-# baseline. The traced cell's timeline (degraded windows, fault
+# deterministic report view byte-identical across the two and to the
+# committed baseline, then soft-compares the wall-clock fields
+# (p99-under-fault) against that baseline. The traced cell's timeline (degraded windows, fault
 # markers) is schema-checked like the other Perfetto artifacts.
 chaos-smoke:
 	$(PYTHON) -m repro serve chaos --smoke \
@@ -133,6 +139,9 @@ chaos-smoke:
 	  --out generated/BENCH_chaos_w2.json --require-detection
 	$(PYTHON) tools/report_determinism.py \
 	  generated/BENCH_chaos.json generated/BENCH_chaos_w2.json
+	$(PYTHON) tools/report_determinism.py \
+	  benchmarks/baselines/BENCH_chaos_smoke.json \
+	  generated/BENCH_chaos.json
 	$(PYTHON) -m repro serve compare \
 	  benchmarks/baselines/BENCH_chaos_smoke.json \
 	  generated/BENCH_chaos.json --warn-only

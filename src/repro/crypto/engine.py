@@ -8,6 +8,13 @@ ciphertexts -- the property that makes real and dummy blocks
 indistinguishable on the memory bus, which Ring ORAM's security
 argument relies on.
 
+The keystream ("pad") of a slot is the ChaCha20 block at counter 0
+under nonce (addr, version), so it depends on nothing but the key and
+those two numbers and can be computed before the plaintext exists.
+``pads`` computes many at once (:func:`~repro.crypto.chacha.chacha20_blocks`);
+``seal``/``open`` XOR with a precomputed pad, or compute a one-lane
+batch themselves when the caller has none.
+
 Key separation: independent subkeys for encryption and authentication
 are derived from the master key with SHA256 domain tags.
 """
@@ -15,11 +22,14 @@ are derived from the master key with SHA256 domain tags.
 from __future__ import annotations
 
 import hashlib
-import struct
-from typing import Tuple
+from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.crypto.auth import BlockAuthenticator
-from repro.crypto.chacha import ChaCha20
+from repro.crypto.chacha import chacha20_blocks
+
+IntArray = Union[Sequence[int], np.ndarray]
 
 
 class SecureBlockEngine:
@@ -39,28 +49,57 @@ class SecureBlockEngine:
     def tag_bytes(self) -> int:
         return self._auth.TAG_BYTES
 
-    def _nonce(self, addr: int, version: int) -> bytes:
-        # 12-byte nonce: low 8 bytes of address + low 4 of version; the
-        # version also feeds the MAC, so wrap-around cannot alias.
-        return struct.pack("<QI", addr & (2**64 - 1), version & (2**32 - 1))
+    def pads(self, addrs: IntArray, versions: IntArray) -> np.ndarray:
+        """Keystream pads for many slots: ``(n, 64)`` uint8.
 
-    def seal(self, addr: int, version: int, plaintext: bytes) -> Tuple[bytes, bytes]:
-        """Encrypt + authenticate one block; returns (ciphertext, tag)."""
+        Row ``i`` is the ChaCha20 block under the 12-byte nonce made of
+        the low 8 bytes of ``addrs[i]`` and the low 4 of ``versions[i]``
+        (little-endian); the version also feeds the MAC, so wrap-around
+        cannot alias.
+        """
+        addrs = np.asarray(addrs, dtype=np.uint64)
+        versions = np.asarray(versions, dtype=np.uint64)
+        words = np.empty((addrs.shape[0], 3), dtype=np.uint32)
+        words[:, 0] = addrs & 0xFFFFFFFF
+        words[:, 1] = addrs >> 32
+        words[:, 2] = versions & 0xFFFFFFFF
+        return chacha20_blocks(self._enc_key, words)
+
+    def _pad(self, addr: int, version: int,
+             pad: Optional[np.ndarray]) -> np.ndarray:
+        if pad is not None:
+            return pad
+        return self.pads([addr & (2**64 - 1)], [version & (2**32 - 1)])[0]
+
+    def seal(self, addr: int, version: int, plaintext: bytes,
+             pad: Optional[np.ndarray] = None) -> Tuple[bytes, bytes]:
+        """Encrypt + authenticate one block; returns (ciphertext, tag).
+
+        ``pad`` is the slot's precomputed ``pads([addr], [version])``
+        row; without one the engine computes it.
+        """
         if len(plaintext) != self.BLOCK_BYTES:
             raise ValueError(
                 f"plaintext must be {self.BLOCK_BYTES} bytes, got {len(plaintext)}"
             )
-        cipher = ChaCha20(self._enc_key, self._nonce(addr, version))
-        ciphertext = cipher.xor(plaintext)
+        pad = self._pad(addr, version, pad)
+        ciphertext = np.bitwise_xor(
+            np.frombuffer(plaintext, dtype=np.uint8), pad
+        ).tobytes()
         return ciphertext, self._auth.tag(addr, version, ciphertext)
 
     def open(self, addr: int, version: int, ciphertext: bytes,
-             tag: bytes) -> bytes:
-        """Authenticate + decrypt one block (raises on tampering)."""
+             tag: bytes, pad: Optional[np.ndarray] = None) -> bytes:
+        """Authenticate + decrypt one block (raises on tampering).
+
+        The MAC is checked before any pad is used or computed.
+        """
         if len(ciphertext) != self.BLOCK_BYTES:
             raise ValueError(
                 f"ciphertext must be {self.BLOCK_BYTES} bytes, got {len(ciphertext)}"
             )
         self._auth.verify(addr, version, ciphertext, tag)
-        cipher = ChaCha20(self._enc_key, self._nonce(addr, version))
-        return cipher.xor(ciphertext)
+        pad = self._pad(addr, version, pad)
+        return np.bitwise_xor(
+            np.frombuffer(ciphertext, dtype=np.uint8), pad
+        ).tobytes()

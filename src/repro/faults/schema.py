@@ -2,9 +2,12 @@
 
 Mirrors :mod:`repro.perf.schema`: machine-checkable with the stock
 interpreter, no third-party schema library. Unlike the perf report,
-every field here is *deterministic* -- there are no wall-clock numbers
-and no timestamps -- so two back-to-back runs of the same campaign
-produce byte-identical files, and CI can diff them directly.
+there are no wall-clock numbers and no timestamps, so two back-to-back
+runs of the same campaign on one host produce byte-identical files.
+Only the ``environment`` block describes the host; the rest is a pure
+function of the config, and :func:`deterministic_view` (the report
+minus ``environment``) is what a committed baseline is checked against
+across machines.
 
 Top-level document::
 
@@ -48,6 +51,7 @@ detection gap, never as a pass.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, List
 
 SCHEMA_VERSION = 1
@@ -191,3 +195,15 @@ def validate_report(doc: Any) -> List[str]:
 def cell_key(cell: Dict[str, Any]) -> str:
     """Stable identity of one campaign cell."""
     return f"{cell['fault']}@{cell['rate']:g}"
+
+
+def deterministic_view(doc: Dict[str, Any]) -> Dict[str, Any]:
+    """The report minus its host-dependent ``environment`` block."""
+    return {k: v for k, v in doc.items() if k != "environment"}
+
+
+def deterministic_bytes(doc: Dict[str, Any]) -> bytes:
+    """Canonical serialization of :func:`deterministic_view`."""
+    return json.dumps(
+        deterministic_view(doc), sort_keys=True, indent=1,
+    ).encode()

@@ -17,6 +17,8 @@ millions of buckets take milliseconds).
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from repro.oram.config import OramConfig
@@ -56,6 +58,18 @@ class TreeLayout:
         if not 0 <= bucket < self.cfg.n_buckets:
             raise ValueError(f"bucket {bucket} out of range")
         return self.base_addr + int(self._offsets[bucket]) + slot * self.cfg.block_bytes
+
+    def slot_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(buckets, slots)`` of every data slot, in address order.
+
+        Entry ``i`` is the slot whose :meth:`data_addr` is
+        ``base_addr + i * block_bytes``.
+        """
+        block = self.cfg.block_bytes
+        z = np.diff(np.append(self._offsets, self.data_bytes)) // block
+        buckets = np.repeat(np.arange(self.cfg.n_buckets), z)
+        slots = np.arange(buckets.size) - (self._offsets // block)[buckets]
+        return buckets, slots
 
     def meta_addr(self, bucket: int, block: int = 0) -> int:
         """Byte address of one 64B line of a bucket's metadata record."""

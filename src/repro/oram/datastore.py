@@ -19,12 +19,26 @@ The Ring ORAM controller drives it through two calls:
 
 Tamper anywhere -- payload bytes, a tag, a version, a Merkle digest --
 and the next ``open_slot`` of an affected block raises.
+
+Keystream pads are precomputed, as counter-mode secure processors
+precompute their one-time pads. A slot's pad is the ChaCha20 block
+under nonce (address, version), known before its plaintext is, so the
+store keeps two trusted on-chip tables, each tagged per slot with the
+version its row belongs to: the *next* pad ``K(addr, version + 1)``
+that the slot's next seal will use, and the *current* pad
+``K(addr, version)`` its sealed contents decrypt with. A seal consumes
+the next pad, which leaves it stale; the first seal to meet a stale
+pad refills every stale slot in one lane-parallel batch. An open whose
+version no longer matches the current pad's tag (a rolled-back version
+word) computes its pad afresh, so the pad used is always a pure
+function of (key, address, version). The tables are derived data:
+they are not pickled, and a loaded store starts with every pad stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -85,6 +99,41 @@ class EncryptedTreeStore:
         self._sealed_buckets: Set[int] = set()
         self.seals = 0
         self.opens = 0
+        # Pad rows are indexed by slot number in address order (memory
+        # offset // block size); slot i's version word is
+        # _version.flat[_version_at[i]].
+        buckets, slots = self.layout.slot_index()
+        self._version_at = buckets * cfg.z_max + slots
+        self._init_pads()
+        self._refill_pads()
+
+    # ---------------------------------------------------------- pad pool
+
+    def _init_pads(self) -> None:
+        """Pad tables with every slot stale (tag -1 matches no version)."""
+        n = self._version_at.size
+        self._next_pad = np.zeros((n, self.engine.BLOCK_BYTES), np.uint8)
+        self._cur_pad = np.zeros_like(self._next_pad)
+        self._next_ver = np.full(n, -1, dtype=np.int64)
+        self._cur_ver = np.full(n, -1, dtype=np.int64)
+
+    def _refill_pads(self) -> None:
+        """Compute the next pad of every stale slot in one batch."""
+        want = self._version.ravel()[self._version_at].astype(np.int64) + 1
+        stale = np.flatnonzero(self._next_ver != want)
+        addrs = self.layout.base_addr + stale * self.cfg.block_bytes
+        self._next_pad[stale] = self.engine.pads(addrs, want[stale])
+        self._next_ver[stale] = want[stale]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        for name in ("_next_pad", "_cur_pad", "_next_ver", "_cur_ver"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._init_pads()
 
     # ------------------------------------------------------------- sealing
 
@@ -94,11 +143,18 @@ class EncryptedTreeStore:
     def seal_slot(self, bucket: int, slot: int, plaintext: bytes) -> None:
         """Encrypt + authenticate one slot and update the Merkle path."""
         plaintext = pad_block(plaintext, self.cfg.block_bytes)
-        addr = self.layout.data_addr(bucket, slot)
-        version = int(self._version[bucket, slot]) + 1
-        self._version[bucket, slot] = version
-        ciphertext, tag = self.engine.seal(addr, version, plaintext)
         off = self._offset(bucket, slot)
+        i = off // self.cfg.block_bytes
+        version = int(self._version[bucket, slot]) + 1
+        if self._next_ver[i] != version:
+            self._refill_pads()
+        pad = self._cur_pad[i]
+        pad[:] = self._next_pad[i]
+        self._cur_ver[i] = version
+        self._version[bucket, slot] = version
+        ciphertext, tag = self.engine.seal(
+            self.layout.base_addr + off, version, plaintext, pad
+        )
         self._memory[off:off + self.cfg.block_bytes] = ciphertext
         self._tags[(bucket, slot)] = tag
         self._sealed_buckets.add(bucket)
@@ -127,7 +183,11 @@ class EncryptedTreeStore:
         in-order loop: the dummy-filler RNG draws, the per-slot version
         bumps, the Merkle updates and the ``seals`` counter must all
         land exactly as the scalar calls would, because fault campaigns
-        and integrity counters pin that sequence.
+        and integrity counters pin that sequence. The keystream is
+        batched underneath instead: each seal takes its slot's
+        precomputed next pad, and the first seal to find a stale pad
+        refills every stale slot at once (see the module docstring),
+        so a write-back normally costs one lane-parallel cipher call.
         """
         for bucket, slot, plaintext in items:
             if plaintext is None:
@@ -149,12 +209,14 @@ class EncryptedTreeStore:
             self.integrity.verify_bucket(
                 bucket, content_digest=self._content_digest(bucket)
             )
-        addr = self.layout.data_addr(bucket, slot)
         off = self._offset(bucket, slot)
         ciphertext = bytes(self._memory[off:off + self.cfg.block_bytes])
         version = int(self._version[bucket, slot])
         self.opens += 1
-        return self.engine.open(addr, version, ciphertext, self._tags[key])
+        i = off // self.cfg.block_bytes
+        pad = self._cur_pad[i] if self._cur_ver[i] == version else None
+        return self.engine.open(self.layout.base_addr + off, version,
+                                ciphertext, self._tags[key], pad)
 
     # ----------------------------------------------------------- integrity
 

@@ -34,6 +34,30 @@ class TestCheckpointRoundtrip:
         result = resumed.run()
         assert result.to_dict() == baseline.to_dict()
 
+    def test_resume_sealed_is_bit_identical(self, tmp_path):
+        """A sealed run resumes bit-identically although the store's
+        precomputed pads are left out of the checkpoint and recomputed
+        after load; the checkpoint stays the size of the sealed image,
+        not three times it."""
+        rcfg = RobustnessConfig(integrity=True)
+        uninterrupted = _fresh(robustness=rcfg)
+        baseline = uninterrupted.run()
+        sim = _fresh(robustness=rcfg)
+        for _ in range(60):
+            sim.step()
+        path = tmp_path / "ck.pkl"
+        save_checkpoint(sim, path)
+        store = sim.datastore
+        pads = store._next_pad.nbytes + store._cur_pad.nbytes
+        assert path.stat().st_size < len(store._memory) + pads // 2
+        resumed = load_checkpoint(path)
+        result = resumed.run()
+        assert result.to_dict() == baseline.to_dict()
+        done, want = resumed.datastore, uninterrupted.datastore
+        assert (done.seals, done.opens) == (want.seals, want.opens)
+        assert done._memory == want._memory and done._tags == want._tags
+        assert done.integrity.root == want.integrity.root
+
     def test_resume_with_faults_is_bit_identical(self, tmp_path):
         """The fault wrapper's ledgers (history, outstanding drops,
         outage state) ride inside the checkpoint too."""

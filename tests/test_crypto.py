@@ -1,18 +1,23 @@
 """Tests for the crypto boundary (repro.crypto).
 
-The ChaCha20 implementation is validated against the official RFC 8439
-test vectors; the authenticator, engine, and Merkle tree are tested for
+The ChaCha20 implementations -- the scalar oracle and the batched,
+lane-parallel one the data path uses -- are validated against the
+official RFC 8439 test vectors; the authenticator, engine, and Merkle tree are tested for
 round-trips and -- more importantly -- for *detection*: every modelled
 attack (bit flips, splicing, version rollback, consistent replay) must
 raise.
 """
 
 import hashlib
+import struct
 
+import numpy as np
 import pytest
 
 from repro.crypto.auth import AuthenticationError, BlockAuthenticator
-from repro.crypto.chacha import ChaCha20, chacha20_xor
+from repro.crypto.chacha import (
+    LANES_PER_PASS, ChaCha20, chacha20_blocks, chacha20_xor,
+)
 from repro.crypto.engine import SecureBlockEngine
 from repro.crypto.integrity import BucketMerkleTree, IntegrityError
 
@@ -65,6 +70,79 @@ class TestChaCha20Rfc8439:
             "6a43b8f41518a11cc387b669b2ee6586"
         )
         assert block == expect
+
+
+def nonce_words(*nonces: bytes) -> np.ndarray:
+    """12-byte nonces as the (n, 3) little-endian words the batched
+    cipher takes."""
+    return np.frombuffer(b"".join(nonces), dtype="<u4").reshape(-1, 3)
+
+
+class TestChaCha20BlocksRfc8439:
+    """The same RFC 8439 block vectors, through the batched function."""
+
+    # (key, nonce, counter, keystream block): section 2.3.2, then the
+    # appendix A.1 block-function test vectors #1-#5.
+    VECTORS = [
+        (bytes(range(32)), bytes.fromhex("000000090000004a00000000"), 1,
+         "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+         "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"),
+        (bytes(32), bytes(12), 0,
+         "76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7"
+         "da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586"),
+        (bytes(32), bytes(12), 1,
+         "9f07e7be5551387a98ba977c732d080dcb0f29a048e3656912c6533e32ee7aed"
+         "29b721769ce64e43d57133b074d839d531ed1f28510afb45ace10a1f4b794d6f"),
+        (bytes(31) + b"\x01", bytes(12), 1,
+         "3aeb5224ecf849929b9d828db1ced4dd832025e8018b8160b82284f3c949aa5a"
+         "8eca00bbb4a73bdad192b5c42f73f2fd4e273644c8b36125a64addeb006c13a0"),
+        (b"\x00\xff" + bytes(30), bytes(12), 2,
+         "72d54dfbf12ec44b362692df94137f328fea8da73990265ec1bbbea1ae9af0ca"
+         "13b25aa26cb4a648cb9b9d1be65b2c0924a66c54d545ec1b7374f4872e99f096"),
+        (bytes(32), bytes(11) + b"\x02", 0,
+         "c2c64d378cd536374ae204b9ef933fcd1a8b2288b3dfa49672ab765b54ee27c7"
+         "8a970e0e955c14f3a88e741b97c286f75f8fc299e8148362fa198a39531bed6d"),
+    ]
+
+    @pytest.mark.parametrize("key,nonce,counter,expect", VECTORS)
+    def test_block_vector(self, key, nonce, counter, expect):
+        out = chacha20_blocks(key, nonce_words(nonce), counter)
+        assert out.shape == (1, 64) and out.dtype == np.uint8
+        assert out[0].tobytes() == bytes.fromhex(expect)
+
+    def test_vectors_as_lanes_of_one_call(self):
+        """Lanes are independent: vectors sharing a key and counter come
+        out right side by side, in order."""
+        nonces = [bytes(12), bytes(11) + b"\x02", bytes(12)]
+        out = chacha20_blocks(bytes(32), nonce_words(*nonces), 0)
+        assert out[0].tobytes() == bytes.fromhex(self.VECTORS[1][3])
+        assert out[1].tobytes() == bytes.fromhex(self.VECTORS[5][3])
+        assert out[2].tobytes() == out[0].tobytes()
+
+
+class TestChaCha20Blocks:
+    def test_matches_scalar_across_pass_boundary(self):
+        key = hashlib.sha256(b"lanes").digest()
+        n = LANES_PER_PASS + 3
+        nonces = [struct.pack("<QI", 64 * i, i + 1) for i in range(n)]
+        out = chacha20_blocks(key, nonce_words(*nonces))
+        for i in (0, 1, LANES_PER_PASS - 1, LANES_PER_PASS, n - 1):
+            assert out[i].tobytes() == ChaCha20(key, nonces[i]).block(0)
+
+    def test_zero_lanes(self):
+        out = chacha20_blocks(bytes(32), np.zeros((0, 3), dtype=np.uint32))
+        assert out.shape == (0, 64)
+
+    def test_bad_inputs_rejected(self):
+        with pytest.raises(ValueError):
+            chacha20_blocks(b"short", nonce_words(bytes(12)))
+        with pytest.raises(ValueError):
+            chacha20_blocks(bytes(32), np.zeros((2, 4), dtype=np.uint32))
+        with pytest.raises(ValueError):
+            chacha20_blocks(bytes(32), nonce_words(bytes(12)), counter=-1)
+        with pytest.raises(ValueError):
+            chacha20_blocks(bytes(32), nonce_words(bytes(12)),
+                            counter=2**32)
 
 
 class TestChaCha20Api:
@@ -187,6 +265,34 @@ class TestSecureBlockEngine:
     def test_short_master_key_rejected(self):
         with pytest.raises(ValueError):
             SecureBlockEngine(b"short")
+
+    def test_pads_are_the_nonce_keystream(self):
+        """A pad is ChaCha20 at counter 0 under (addr, version), the
+        nonce the engine always used, with the engine's derived key."""
+        master = b"master key bytes"
+        eng = SecureBlockEngine(master)
+        enc_key = hashlib.sha256(b"repro/enc|" + master).digest()
+        addrs, versions = [0, 64, 2**40 + 128], [1, 7, 2**31]
+        pads = eng.pads(addrs, versions)
+        assert pads.shape == (3, 64)
+        for row, addr, version in zip(pads, addrs, versions):
+            nonce = struct.pack("<QI", addr, version)
+            assert row.tobytes() == ChaCha20(enc_key, nonce).block(0)
+
+    def test_precomputed_pad_gives_the_same_bytes(self):
+        eng = SecureBlockEngine(b"master key bytes")
+        pt = bytes(range(64))
+        pad = eng.pads([0xABC0], [7])[0]
+        assert eng.seal(0xABC0, 7, pt, pad) == eng.seal(0xABC0, 7, pt)
+        ct, tag = eng.seal(0xABC0, 7, pt)
+        assert eng.open(0xABC0, 7, ct, tag, pad) == pt
+
+    def test_mac_checked_before_the_pad_is_used(self):
+        eng = SecureBlockEngine(b"master key bytes")
+        ct, tag = eng.seal(0, 1, bytes(64))
+        bad = bytes([ct[0] ^ 1]) + ct[1:]
+        with pytest.raises(AuthenticationError):
+            eng.open(0, 1, bad, tag, eng.pads([0], [1])[0])
 
 
 class TestBucketMerkleTree:

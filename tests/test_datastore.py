@@ -1,6 +1,8 @@
 """Tests for the encrypted tree store and the end-to-end secure data
 path (controller + EncryptedTreeStore)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,10 @@ from conftest import tiny_ab_config, tiny_config
 
 from repro.core.remote import RemoteAllocator
 from repro.crypto.auth import AuthenticationError
+from repro.crypto.engine import SecureBlockEngine
 from repro.crypto.integrity import IntegrityError
+from repro.faults.memory import FaultyMemory
+from repro.faults.plan import FaultPlan
 from repro.oram.datastore import EncryptedTreeStore, pad_block
 from repro.oram.ring import RingOram
 
@@ -103,6 +108,118 @@ class TestEncryptedTreeStore:
         store.open_slot(0, 0)
         assert store.seals == 1
         assert store.opens == 1
+
+
+class TestPadPool:
+    """Precomputed keystream pads: same bytes as one-off sealing, one
+    batched refill per run of stale slots, fresh pads for rolled-back
+    versions, and every attack still caught."""
+
+    def _count_pad_calls(self, store, monkeypatch):
+        calls = []
+        real = store.engine.pads
+
+        def counting(addrs, versions):
+            calls.append(len(addrs))
+            return real(addrs, versions)
+
+        monkeypatch.setattr(store.engine, "pads", counting)
+        return calls
+
+    def test_ciphertext_is_a_pure_function_of_addr_and_version(self, store):
+        oracle = SecureBlockEngine(KEY)
+        for value in (b"one", b"two", b"three"):
+            store.seal_slot(3, 1, value)
+            snap = store.snapshot_slot(3, 1)
+            addr = store.layout.data_addr(3, 1)
+            assert oracle.seal(addr, snap.version, pad_block(value, 64)) == (
+                snap.ciphertext, snap.tag)
+
+    def test_reseal_then_open(self, store):
+        store.seal_slot(3, 1, b"v1")
+        store.seal_slot(3, 1, b"v2")
+        assert store.open_slot(3, 1) == pad_block(b"v2", 64)
+        store.seal_slot(3, 1, b"v3")
+        assert store.open_slot(3, 1) == pad_block(b"v3", 64)
+
+    def test_build_fills_every_pad(self, store, monkeypatch):
+        calls = self._count_pad_calls(store, monkeypatch)
+        for b in range(store.cfg.n_buckets):
+            z = store.cfg.geometry[(b + 1).bit_length() - 1].z_total
+            for s in range(z):
+                store.seal_slot(b, s, b"first")
+        assert calls == []
+
+    def test_one_batched_refill_per_bucket_reseal(self, store, monkeypatch):
+        z = store.cfg.z_max
+        store.seal_many([(0, s, None) for s in range(z)])
+        store.seal_many([(1, s, None) for s in range(z)])
+        calls = self._count_pad_calls(store, monkeypatch)
+        store.seal_many([(0, s, b"again") for s in range(z)])
+        # Slot (0, 0) found its pad stale and refilled every stale slot
+        # (both buckets) at once; bucket 1 then reseals refill-free.
+        assert calls == [2 * z]
+        store.seal_many([(1, s, b"again") for s in range(z)])
+        assert calls == [2 * z]
+        assert store.open_slot(1, z - 1) == pad_block(b"again", 64)
+
+    def test_open_after_tamper_version_detected(self, store):
+        store.seal_slot(3, 1, b"v1")
+        store.seal_slot(3, 1, b"v2")
+        store.tamper_version(3, 1)
+        with pytest.raises((AuthenticationError, IntegrityError)):
+            store.open_slot(3, 1)
+
+    def test_tamper_version_without_integrity_still_fails_the_mac(
+            self, cfg_small):
+        s = EncryptedTreeStore(cfg_small, KEY, with_integrity=False)
+        s.seal_slot(3, 1, b"v1")
+        s.seal_slot(3, 1, b"v2")
+        s.tamper_version(3, 1)
+        with pytest.raises(AuthenticationError):
+            s.open_slot(3, 1)
+
+    def test_rolled_back_version_decrypts_with_a_fresh_pad(self, cfg_small):
+        """Without the Merkle tree a full replay goes through; the old
+        plaintext comes back because the pad is recomputed for the
+        rolled-back version, not taken from the current-pad table."""
+        s = EncryptedTreeStore(cfg_small, KEY, with_integrity=False)
+        s.seal_slot(3, 1, b"old")
+        snap = s.snapshot_slot(3, 1)
+        s.seal_slot(3, 1, b"new")
+        s.restore_slot(3, 1, snap, restore_version=True)
+        assert s.open_slot(3, 1) == pad_block(b"old", 64)
+        s.seal_slot(3, 1, b"newer")  # reseal after the rollback
+        assert s.open_slot(3, 1) == pad_block(b"newer", 64)
+
+    def test_full_replay_with_rehash_still_raises(self, store):
+        store.seal_slot(3, 1, b"old")
+        snap = store.snapshot_slot(3, 1)
+        store.seal_slot(3, 1, b"new")
+        store.restore_slot(3, 1, snap, restore_version=True, rehash=True)
+        with pytest.raises(IntegrityError):
+            store.open_slot(3, 1)
+
+    def test_bit_flip_still_detected(self, store):
+        mem = FaultyMemory(store, FaultPlan(seed=0, rates={"bit_flip": 1.0}))
+        mem.seal_slot(3, 1, b"payload")
+        with pytest.raises(AuthenticationError):
+            mem.open_slot(3, 1)
+        assert mem.detected["bit_flip"] == mem.injected["bit_flip"] == 1
+
+    def test_pads_left_out_of_the_pickle(self, store):
+        for s in range(store.cfg.z_max):
+            store.seal_slot(2, s, b"kept")
+        blob = pickle.dumps(store)
+        # The sealed image is in the pickle; not even one pad table is.
+        assert len(blob) < len(store._memory) + store._cur_pad.nbytes
+        loaded = pickle.loads(blob)
+        assert (loaded._next_ver == -1).all() and (loaded._cur_ver == -1).all()
+        assert loaded.open_slot(2, 0) == pad_block(b"kept", 64)
+        loaded.seal_slot(2, 0, b"fresh")
+        store.seal_slot(2, 0, b"fresh")
+        assert loaded.snapshot_slot(2, 0) == store.snapshot_slot(2, 0)
+        assert loaded.open_slot(2, 0) == pad_block(b"fresh", 64)
 
 
 class TestEncryptedOramEndToEnd:

@@ -19,7 +19,9 @@ from repro.faults.campaign import (
 from repro.faults.memory import FaultyMemory
 from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.faults.report import render_report
-from repro.faults.schema import cell_key, validate_report
+from repro.faults.schema import (
+    cell_key, deterministic_bytes, validate_report,
+)
 from repro.oram.datastore import EncryptedTreeStore, pad_block
 from repro.oram.recovery import RobustnessConfig, TransientBackendError
 from repro.sim.engine import SimConfig, Simulation
@@ -269,6 +271,31 @@ class TestCampaign:
         assert json.dumps(smoke_doc, sort_keys=True) == json.dumps(
             again, sort_keys=True
         )
+
+    def test_determinism_gate_ignores_only_the_environment(
+            self, smoke_doc, tmp_path):
+        """tools/report_determinism.py accepts a faults report whose
+        host block differs and rejects one whose ledger differs."""
+        import importlib.util
+        import os
+        tool = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "tools", "report_determinism.py")
+        spec = importlib.util.spec_from_file_location("report_det", tool)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+
+        other_host = copy.deepcopy(smoke_doc)
+        other_host["environment"]["platform"] = "elsewhere"
+        moved = copy.deepcopy(smoke_doc)
+        moved["cells"][0]["detected"] += 1
+        assert deterministic_bytes(other_host) == deterministic_bytes(smoke_doc)
+        paths = {}
+        for name, doc in (("a", smoke_doc), ("host", other_host),
+                          ("moved", moved)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        assert mod.main([str(paths["a"]), str(paths["host"])]) == 0
+        assert mod.main([str(paths["a"]), str(paths["moved"])]) == 1
 
     def test_render_report(self, smoke_doc):
         text = render_report(smoke_doc)

@@ -255,3 +255,14 @@ class TestTreeLayout:
             start = lay.data_addr(b, 0)
             assert start == prev_end
             prev_end = start + cfg.geometry[level_of(b)].z_total * 64
+
+    def test_slot_index_is_address_order(self, cfg):
+        lay = TreeLayout(cfg, base_addr=1 << 20)
+        buckets, slots = lay.slot_index()
+        assert buckets.size == cfg.total_slots
+        for i in (0, 1, 7, 8, buckets.size // 2, buckets.size - 1):
+            assert lay.data_addr(int(buckets[i]), int(slots[i])) == (
+                (1 << 20) + i * 64)
+        from repro.oram.tree import level_of
+        assert all(0 <= s < cfg.geometry[level_of(int(b))].z_total
+                   for b, s in zip(buckets, slots))

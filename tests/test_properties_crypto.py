@@ -1,11 +1,12 @@
 """Property-based tests for the crypto boundary."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.auth import AuthenticationError
-from repro.crypto.chacha import ChaCha20
+from repro.crypto.chacha import LANES_PER_PASS, ChaCha20, chacha20_blocks
 from repro.crypto.engine import SecureBlockEngine
 from repro.crypto.integrity import BucketMerkleTree, IntegrityError
 
@@ -49,6 +50,15 @@ class TestEngineProperties:
         with pytest.raises(AuthenticationError):
             ENGINE.open(addr, version + 1, ct, tag)
 
+    @settings(max_examples=30, deadline=None)
+    @given(addrs=st.lists(ADDRS, min_size=1, max_size=40),
+           version=VERSIONS, pt=BLOCKS)
+    def test_batched_pads_seal_like_one_off_seals(self, addrs, version, pt):
+        pads = ENGINE.pads(addrs, [version] * len(addrs))
+        for addr, pad in zip(addrs, pads):
+            assert ENGINE.seal(addr, version, pt, pad) == ENGINE.seal(
+                addr, version, pt)
+
     @settings(max_examples=40, deadline=None)
     @given(addr=ADDRS, version=VERSIONS, pt=BLOCKS)
     def test_ciphertext_never_equals_plaintext(self, addr, version, pt):
@@ -78,6 +88,29 @@ class TestChaChaProperties:
     def test_keystream_length_exact(self, length, counter):
         c = ChaCha20(b"k" * 32, b"n" * 12)
         assert len(c.keystream(length, counter)) == length
+
+
+class TestBatchedChaChaProperties:
+    @settings(max_examples=12, deadline=None)
+    @given(key=st.binary(min_size=32, max_size=32),
+           lanes=st.integers(1, 2100),
+           nonce_seed=st.integers(0, 2**32 - 1),
+           counter=st.integers(0, 2**32 - 1))
+    @example(key=bytes(32), lanes=2100, nonce_seed=0, counter=0)
+    @example(key=bytes(32), lanes=LANES_PER_PASS + 1, nonce_seed=1,
+             counter=2**32 - 1)
+    def test_batched_equals_scalar_oracle(self, key, lanes, nonce_seed,
+                                          counter):
+        """Every lane of one batched call -- across pass boundaries --
+        equals the scalar RFC 8439 block for its own nonce."""
+        rng = np.random.default_rng(nonce_seed)
+        nonces = rng.integers(0, 256, (lanes, 12), dtype=np.uint8)
+        words = nonces.view("<u4").reshape(lanes, 3)
+        out = chacha20_blocks(key, words, counter)
+        assert out.shape == (lanes, 64)
+        for i in range(lanes):
+            expect = ChaCha20(key, nonces[i].tobytes()).block(counter)
+            assert out[i].tobytes() == expect
 
 
 class TestMerkleProperties:

@@ -5,8 +5,10 @@ The serve/chaos harnesses promise their ``sim`` blocks are pure
 functions of the config -- byte-identical across repeat runs and any
 ``--workers`` width. CI enforces that promise by running a harness
 twice (e.g. serial and ``--workers 2``) and feeding both artifacts to
-this checker, which strips the host-dependent fields and compares the
-canonical JSON encodings byte for byte. Dispatch is by the report's
+this checker, and by checking one run against a committed baseline
+(the chaos and faults smoke gates). The checker strips the
+host-dependent fields and compares the canonical JSON encodings byte
+for byte. Dispatch is by the report's
 ``kind``: serve, chaos and scaling reports
 (``repro-serve-report`` / ``repro-chaos-report`` /
 ``repro-scaling-report`` -- the last is the fleet capacity curve,
@@ -15,8 +17,11 @@ serial run and a ``--workers N`` fleet) reduce via
 :func:`repro.serve.schema.deterministic_view`; perf-matrix reports
 (``"kind": "repro-perf-report"``, including their pipelined ``@pN``
 and sharded ``@sN`` cells) via
-:func:`repro.perf.schema.deterministic_view`. An unrecognized kind is
-an error, not a silent pass.
+:func:`repro.perf.schema.deterministic_view`; fault-campaign reports
+(``"kind": "repro-faults-report"``) via
+:func:`repro.faults.schema.deterministic_view`, which drops only the
+``environment`` block. An unrecognized kind is an error, not a silent
+pass.
 
 Usage: ``python tools/report_determinism.py A.json B.json`` -- exits
 non-zero with the first differing path when the reports diverge.
@@ -63,6 +68,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{path}: {exc}", file=sys.stderr)
             return 2
     a, b = docs
+    from repro.faults.schema import REPORT_KIND as FAULTS_KIND
     from repro.perf.schema import REPORT_KIND as PERF_KIND
     from repro.serve.schema import (
         CHAOS_REPORT_KIND, REPORT_KIND as SERVE_KIND, SCALING_REPORT_KIND,
@@ -74,6 +80,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     kind = a.get("kind")
     if kind == PERF_KIND:
         from repro.perf.schema import deterministic_bytes, deterministic_view
+    elif kind == FAULTS_KIND:
+        from repro.faults.schema import deterministic_bytes, deterministic_view
     elif kind in (SERVE_KIND, CHAOS_REPORT_KIND, SCALING_REPORT_KIND):
         from repro.serve.schema import deterministic_bytes, deterministic_view
     else:
