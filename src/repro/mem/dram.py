@@ -71,7 +71,13 @@ class DramStats:
 
 
 class DramModel:
-    """Timing model for one memory system (all channels)."""
+    """Timing model for one memory system (all channels).
+
+    ``window=None`` (serial controller): one monotone frontier per bank
+    and channel. ``window=N`` (pipelined controller): at most N requests
+    in flight per channel, and busy-interval ledgers instead of
+    frontiers, filled at the earliest free slot by :meth:`_place`.
+    """
 
     def __init__(
         self,
@@ -111,35 +117,23 @@ class DramModel:
             [[] for _ in range(mapping.n_channels)]
             if window is not None else None
         )
-        # Bus busy-interval ledger (windowed mode only): per channel, a
-        # bounded sorted list of disjoint ``[start, end, is_write]``
-        # intervals the data bus is committed to. A request is placed
-        # at the earliest free slot at or after its latency-chain ready
-        # time -- NOT behind a monotone frontier -- which is what lets
-        # overlapping pipeline stages interleave on the bus instead of
-        # strictly serializing in issue order. Direction turnaround
-        # (tWTR / tRTW) is enforced as required spacing against
-        # opposite-direction neighbours; same-direction bursts pack
-        # back-to-back exactly like the unwindowed frontier does.
-        self._busy: Optional[List[List[List[float]]]] = (
+        # Busy-interval ledgers (windowed mode only), per channel
+        # (``_busy``) and per bank (``_bank_iv``): bounded sorted lists
+        # of disjoint ``[start, end, direction]`` intervals, filled by
+        # ``_place``. An early path read is thus not queued behind a
+        # reshuffle write-back *scheduled* later. Bus intervals carry
+        # ``is_write``; bank intervals hold the latency chain + burst +
+        # write recovery and carry ``None``. Row-buffer state stays in
+        # program order, so hit/miss matches the serial model. A
+        # ledger's floor rises as old intervals age out.
+        self._busy: Optional[List[List[list]]] = (
             [[] for _ in range(mapping.n_channels)]
             if window is not None else None
         )
-        # Placement never reaches before the floor; it rises as old
-        # intervals age out of the bounded ledger.
         self._busy_floor = [0.0] * mapping.n_channels
         self._bus_pad = max(timing.t_wtr, timing.t_rtw)
         self._busy_cap = 64
-        # Per-bank busy intervals (windowed mode only), same idea as
-        # the bus ledger: a request occupies its bank for the latency
-        # chain + burst + write recovery, placed at the earliest free
-        # slot rather than behind a monotone frontier, so an early
-        # path read is not queued behind a reshuffle write-back that
-        # is *scheduled* later even though the bank sits idle between.
-        # Row-buffer state (``_open_row``) is still tracked in program
-        # order -- hit/miss classification matches the serial model;
-        # only the time placement interleaves.
-        self._bank_iv: Optional[List[List[List[float]]]] = (
+        self._bank_iv: Optional[List[List[list]]] = (
             [[] for _ in range(n_banks_total)]
             if window is not None else None
         )
@@ -220,29 +214,54 @@ class DramModel:
         if len(q) > self._window:
             del q[0]
 
-    def _bus_place(
-        self, channel: int, ready: float, span: float, write: bool
+    def _place(
+        self, busy: List[list], floors: List[float], key: int, ready: float,
+        span: float, write: Optional[bool], pad: float, cap: int,
     ) -> float:
-        """Reserve ``span`` ns of bus time at the earliest free slot.
+        """Reserve ``span`` ns of one busy-interval ledger; return the start.
 
-        Returns the burst start: the earliest time >= ``ready`` such
-        that ``[start, start + span)`` overlaps no committed interval,
-        keeps direction-turnaround spacing from opposite-direction
-        neighbours (tWTR after a write, tRTW after a read -- the same
-        charges the unwindowed frontier applies on a flip) and lies
-        past the channel floor. The interval is inserted (coalescing
-        with touching same-direction neighbours) so later placements
-        see it; when the ledger exceeds its bound the oldest interval
-        retires into the floor.
+        Bus ledgers pass the request direction as ``write`` and
+        ``_bus_pad``; bank ledgers pass ``write=None`` and ``pad=0.0``,
+        so every neighbour is same-direction and spacing adds an exact
+        ``0.0``. The start is the earliest time >= ``ready`` and the
+        floor such that ``[start, start + span)`` overlaps no interval
+        and keeps tWTR/tRTW turnaround from opposite-direction
+        neighbours. The interval is inserted, coalescing with touching
+        same-direction ones; past ``cap`` the oldest retires into the
+        floor (its end + pad). Only bus placements count backfills.
+
+        Sorted, disjoint intervals have monotone ends, and one with
+        ``end + pad <= t`` can neither take the slot (``start < end <=
+        t``) nor raise ``t`` (``end + trail <= end + pad <= t``). The
+        scan starts past that dead prefix, found in O(log cap) by
+        galloping back from the newest interval (the live tail is
+        short) and bisecting the bracket.
         """
-        busy = self._busy[channel]
-        t_wtr = self._t_wtr
-        t_rtw = self._t_rtw
-        t = self._busy_floor[channel]
+        t = floors[key]
         if ready > t:
             t = ready
-        idx = len(busy)
-        for i, iv in enumerate(busy):
+        n = len(busy)
+        lo = 0
+        hi = n
+        step = 1
+        while step <= n:
+            i = n - step
+            if busy[i][1] + pad <= t:
+                lo = i + 1
+                break
+            hi = i
+            step += step
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if busy[mid][1] + pad <= t:
+                lo = mid + 1
+            else:
+                hi = mid
+        t_wtr = self._t_wtr
+        t_rtw = self._t_rtw
+        idx = n
+        for i in range(lo, n):
+            iv = busy[i]
             w = iv[2]
             if w == write:
                 lead = 0.0
@@ -261,7 +280,7 @@ class DramModel:
             after = iv[1] + trail
             if after > t:
                 t = after
-        if idx < len(busy):
+        if idx < n and write is not None:
             # Placed ahead of an already-committed later burst: the
             # out-of-order interleave the pipelined controller exists
             # to exploit.
@@ -270,9 +289,7 @@ class DramModel:
         prev_touch = (
             idx > 0 and busy[idx - 1][2] == write and busy[idx - 1][1] >= t
         )
-        next_touch = (
-            idx < len(busy) and busy[idx][2] == write and busy[idx][0] <= end
-        )
+        next_touch = idx < n and busy[idx][2] == write and busy[idx][0] <= end
         if prev_touch and next_touch:
             busy[idx - 1][1] = busy[idx][1]
             del busy[idx]
@@ -282,47 +299,10 @@ class DramModel:
             busy[idx][0] = t
         else:
             busy.insert(idx, [t, end, write])
-        if len(busy) > self._busy_cap:
-            oldest = busy.pop(0)
-            guard = oldest[1] + self._bus_pad
-            if guard > self._busy_floor[channel]:
-                self._busy_floor[channel] = guard
-        return t
-
-    def _bank_place(self, bank_idx: int, earliest: float, span: float) -> float:
-        """Reserve ``span`` ns of bank time at the earliest free slot.
-
-        Same bounded-ledger scheme as :meth:`_bus_place` but per bank
-        and without direction spacing -- a bank hold already includes
-        its own recovery time.
-        """
-        busy = self._bank_iv[bank_idx]
-        t = self._bank_floor[bank_idx]
-        if earliest > t:
-            t = earliest
-        idx = len(busy)
-        for i, iv in enumerate(busy):
-            if t + span <= iv[0]:
-                idx = i
-                break
-            if iv[1] > t:
-                t = iv[1]
-        end = t + span
-        prev_touch = idx > 0 and busy[idx - 1][1] >= t
-        next_touch = idx < len(busy) and busy[idx][0] <= end
-        if prev_touch and next_touch:
-            busy[idx - 1][1] = busy[idx][1]
-            del busy[idx]
-        elif prev_touch:
-            busy[idx - 1][1] = end
-        elif next_touch:
-            busy[idx][0] = t
-        else:
-            busy.insert(idx, [t, end])
-        if len(busy) > self._bank_cap:
-            oldest = busy.pop(0)
-            if oldest[1] > self._bank_floor[bank_idx]:
-                self._bank_floor[bank_idx] = oldest[1]
+            if n >= cap:
+                guard = busy.pop(0)[1] + pad
+                if guard > floors[key]:
+                    floors[key] = guard
         return t
 
     def access(self, byte_addr: int, write: bool, arrival_ns: float) -> float:
@@ -353,22 +333,23 @@ class DramModel:
             # after the chain -- neither queues behind a monotone
             # frontier, so overlapped pipeline stages interleave.
             burst = self._burst_ns
+            lat = t_hit if row_hit else self._t_rp + self._t_rcd + t_hit
+            s = self._place(
+                self._bank_iv[bank_idx], self._bank_floor, bank_idx,
+                arrival_ns, lat + burst + t_wr, None, 0.0, self._bank_cap,
+            )
             if row_hit:
-                s = self._bank_place(
-                    bank_idx, arrival_ns, t_hit + burst + t_wr
-                )
                 ready = s + t_hit
             else:
-                s = self._bank_place(
-                    bank_idx, arrival_ns,
-                    self._t_rp + self._t_rcd + t_hit + burst + t_wr,
-                )
                 precharged = s + self._t_rp
                 rated = self._last_activate[channel] + self._t_rrd
                 activate = precharged if precharged > rated else rated
                 self._last_activate[channel] = activate
                 ready = activate + self._t_rcd + t_hit
-            burst_start = self._bus_place(channel, ready, burst, write)
+            burst_start = self._place(
+                self._busy[channel], self._busy_floor, channel,
+                ready, burst, write, self._bus_pad, self._busy_cap,
+            )
             completion = burst_start + self._burst_ns
             recovered = completion + t_wr
             if recovered > self._bank_ready[bank_idx]:
@@ -463,7 +444,17 @@ class DramModel:
         busy = self.channel_busy_ns
         bank_busy = self.bank_busy_ns
         win_q = self._win_q
-        windowed = self._busy is not None
+        bus_iv = self._busy
+        if bus_iv is not None:
+            place = self._place
+            bus_floor = self._busy_floor
+            bus_pad = self._bus_pad
+            bus_cap = self._busy_cap
+            bank_iv = self._bank_iv
+            bank_floor = self._bank_floor
+            bank_cap = self._bank_cap
+            hit_span = t_hit + burst_ns + t_wr
+            miss_span = t_rp + t_col + burst_ns + t_wr
         hits = 0
         service = 0.0
         latest = 0.0
@@ -486,22 +477,23 @@ class DramModel:
             row_hit = open_row[bank_idx] == row
             if row_hit:
                 hits += 1
-            if windowed:
+            if bus_iv is not None:
+                s = place(
+                    bank_iv[bank_idx], bank_floor, bank_idx, arr,
+                    hit_span if row_hit else miss_span, None, 0.0, bank_cap,
+                )
                 if row_hit:
-                    s = self._bank_place(
-                        bank_idx, arr, t_hit + burst_ns + t_wr
-                    )
                     ready = s + t_hit
                 else:
-                    s = self._bank_place(
-                        bank_idx, arr, t_rp + t_col + burst_ns + t_wr
-                    )
                     precharged = s + t_rp
                     rated = last_activate[channel] + t_rrd
                     activate = precharged if precharged > rated else rated
                     last_activate[channel] = activate
                     ready = activate + t_col
-                burst_start = self._bus_place(channel, ready, burst_ns, write)
+                burst_start = place(
+                    bus_iv[channel], bus_floor, channel, ready, burst_ns,
+                    write, bus_pad, bus_cap,
+                )
                 completion = burst_start + burst_ns
                 recovered = completion + t_wr
                 if recovered > bank_ready[bank_idx]:
@@ -595,7 +587,10 @@ class DramModel:
             # overlapped ops are never scheduled into the middle.
             bus_span = burst_ns + (count - 1) * (t_wr + t_hit + burst_ns)
             lat = t_hit if row_hit else self._t_rp + self._t_rcd + t_hit
-            s = self._bank_place(bank_idx, arr, lat + bus_span + t_wr)
+            s = self._place(
+                self._bank_iv[bank_idx], self._bank_floor, bank_idx, arr,
+                lat + bus_span + t_wr, None, 0.0, self._bank_cap,
+            )
             if row_hit:
                 ready = s + t_hit
             else:
@@ -604,7 +599,10 @@ class DramModel:
                 activate = precharged if precharged > rated else rated
                 self._last_activate[channel] = activate
                 ready = activate + (self._t_rcd + t_hit)
-            burst_start = self._bus_place(channel, ready, bus_span, write)
+            burst_start = self._place(
+                self._busy[channel], self._busy_floor, channel, ready,
+                bus_span, write, self._bus_pad, self._busy_cap,
+            )
         else:
             brdy = self._bank_ready[bank_idx]
             if row_hit:

@@ -1,5 +1,6 @@
 """Property-based tests for the memory substrate (layout + DRAM)."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -77,7 +78,15 @@ class TestAddressMappingProperties:
         assert r >= 0
 
 
+#: Every DRAM property holds for the serial model and the windowed
+#: (pipelined-controller) model alike.
+_WINDOWS = pytest.mark.parametrize(
+    "window", [None, 8], ids=["serial", "windowed"]
+)
+
+
 class TestDramProperties:
+    @_WINDOWS
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(reqs=st.lists(
@@ -85,8 +94,8 @@ class TestDramProperties:
                   st.floats(0, 1e6, allow_nan=False)),
         min_size=1, max_size=40,
     ))
-    def test_completion_after_arrival(self, reqs):
-        dram = DramModel()
+    def test_completion_after_arrival(self, reqs, window):
+        dram = DramModel(window=window)
         now = 0.0
         for addr, write, gap in reqs:
             now += gap
@@ -94,20 +103,22 @@ class TestDramProperties:
             # Completion is strictly after arrival, by at least the burst.
             assert done >= now + DDR3_1600.burst_ns
 
+    @_WINDOWS
     @settings(max_examples=25, deadline=None)
     @given(reqs=st.lists(st.integers(0, 2**16), min_size=2, max_size=40))
-    def test_channel_bus_never_double_booked(self, reqs):
+    def test_channel_bus_never_double_booked(self, reqs, window):
         """Completions on one channel are spaced by >= one burst."""
         m = AddressMapping(n_channels=1)
-        dram = DramModel(mapping=m)
+        dram = DramModel(mapping=m, window=window)
         times = sorted(dram.access(a * 64, False, 0.0) for a in reqs)
         for t1, t2 in zip(times, times[1:]):
             assert t2 - t1 >= DDR3_1600.burst_ns - 1e-9
 
+    @_WINDOWS
     @settings(max_examples=25, deadline=None)
     @given(reqs=st.lists(st.integers(0, 2**16), min_size=1, max_size=30))
-    def test_stats_conserved(self, reqs):
-        dram = DramModel()
+    def test_stats_conserved(self, reqs, window):
+        dram = DramModel(window=window)
         for a in reqs:
             dram.access(a * 64, False, 0.0)
         st_ = dram.stats

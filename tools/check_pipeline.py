@@ -17,10 +17,17 @@ the three promises the transaction pipeline makes:
    serial cells must match the committed baseline's ``sim`` blocks
    byte for byte: adding the pipeline must not perturb the serial
    controller at all.
+4. **Wall cost** (with ``--max-wall-ratio R``) -- the pipelined cell's
+   host ``wall_s`` may be at most R times its serial twin's ``wall_s``
+   from the *same* report. Both run on the same host minutes apart, so
+   the ratio is far steadier than a ``wall_s`` compared against a
+   committed baseline; run with ``--repeats 3`` (best of 3 per cell)
+   to steady it further.
 
 Usage: ``PYTHONPATH=src python tools/check_pipeline.py BENCH_perf.json
 [--baseline benchmarks/baselines/BENCH_perf_smoke.json]
-[--min-speedup 1.5] [--min-speedup-for ns/mcf@p4=1.40]``
+[--min-speedup 1.5] [--min-speedup-for ns/mcf@p4=1.40]
+[--max-wall-ratio 2.0]``
 
 ``--min-speedup-for KEY=RATIO`` (repeatable) overrides the default
 floor for one cell: overlap headroom depends on tree depth, so e.g.
@@ -81,6 +88,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "report cell keys). Lets deeper-tree runs "
                              "keep a calibrated floor per cell while "
                              "the default gate stays strict.")
+    parser.add_argument("--max-wall-ratio", type=float, default=None,
+                        metavar="R",
+                        help="fail when a pipelined cell's wall_s exceeds "
+                             "R times its serial twin's wall_s in the "
+                             "same report (default: no wall gate)")
     args = parser.parse_args(argv)
 
     per_cell = {}
@@ -124,6 +136,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             failures.append(
                 f"{key}: speedup {speedup:.3f}x below {floor}x"
             )
+        if args.max_wall_ratio is not None:
+            ratio = cell["wall_s"] / twin["wall_s"]
+            ok = ratio <= args.max_wall_ratio
+            print(f"{key}: wall_s {twin['wall_s']:.3f} -> "
+                  f"{cell['wall_s']:.3f}  ratio {ratio:.2f}x  "
+                  f"(gate: <= {args.max_wall_ratio:.2f}x)  "
+                  f"{'ok' if ok else 'FAIL'}")
+            if not ok:
+                failures.append(
+                    f"{key}: wall_s {ratio:.2f}x its serial twin's, "
+                    f"above {args.max_wall_ratio}x"
+                )
         # 2. logical identity vs the serial twin
         for field in sorted(set(twin["sim"]) | set(cell["sim"])):
             if field in TIMING_FIELDS:
