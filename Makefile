@@ -109,15 +109,20 @@ telemetry-smoke:
 	$(PYTHON) tools/telemetry_overhead.py --max-overhead-pct 10
 
 # CI serving smoke: open-loop workloads through the batching scheduler;
-# fails unless batch scheduling beats naive FIFO on oblivious accesses.
-# Also writes a per-request Perfetto trace and validates it, then
-# soft-compares latency percentiles against the committed baseline.
+# fails unless batch scheduling beats naive FIFO on oblivious accesses,
+# and unless the report's deterministic view is byte-identical to the
+# committed baseline. Also writes a per-request Perfetto trace and
+# validates it, then soft-compares the wall-clock fields against the
+# baseline.
 serve-smoke:
 	$(PYTHON) -m repro serve bench --smoke \
 	  --out generated/BENCH_serve.json \
 	  --trace-out generated/trace_serve.json --require-dedup-win
 	$(PYTHON) tools/check_trace.py generated/trace_serve.json \
 	  --require-kinds readPath evictPath queue get --min-spans 500
+	$(PYTHON) tools/report_determinism.py \
+	  benchmarks/baselines/BENCH_serve_smoke.json \
+	  generated/BENCH_serve.json
 	$(PYTHON) -m repro serve compare \
 	  benchmarks/baselines/BENCH_serve_smoke.json \
 	  generated/BENCH_serve.json --warn-only
@@ -153,8 +158,8 @@ chaos-smoke:
 # the kill-a-shard drill must stay above its availability floor with
 # 100% tamper detection and an all-healthy control plane. Runs twice
 # -- serial and with one spawn worker per shard -- and requires the
-# deterministic report view byte-identical across the two, then
-# soft-compares against the committed baseline curve.
+# deterministic report view byte-identical across the two and to the
+# committed baseline curve, then soft-compares its wall-clock fields.
 shard-smoke:
 	$(PYTHON) -m repro serve scaling --smoke \
 	  --out generated/BENCH_scaling.json --require-speedup 3.0
@@ -162,6 +167,9 @@ shard-smoke:
 	  --out generated/BENCH_scaling_w2.json
 	$(PYTHON) tools/report_determinism.py \
 	  generated/BENCH_scaling.json generated/BENCH_scaling_w2.json
+	$(PYTHON) tools/report_determinism.py \
+	  benchmarks/baselines/BENCH_scaling_smoke.json \
+	  generated/BENCH_scaling.json
 	$(PYTHON) -m repro serve compare \
 	  benchmarks/baselines/BENCH_scaling_smoke.json \
 	  generated/BENCH_scaling.json --warn-only
@@ -172,7 +180,8 @@ shard-smoke:
 # timelines), the streaming SLO JSONL and the ops stream the console
 # replays. Gates: the merged trace must pass the flow/process schema
 # checks; a --workers 2 rerun must reproduce the deterministic report
-# view AND the trace file byte-for-byte; the recorded ops stream must
+# view AND the trace file byte-for-byte; the report's deterministic
+# view must equal the committed baseline; the recorded ops stream must
 # replay through `serve top`; and the observability plane must cost
 # <= 10% wall time on the serving loop.
 obs-smoke:
@@ -191,6 +200,9 @@ obs-smoke:
 	$(PYTHON) tools/report_determinism.py \
 	  generated/BENCH_chaos_fleet.json generated/BENCH_chaos_fleet_w2.json
 	cmp generated/trace_fleet.json generated/trace_fleet_w2.json
+	$(PYTHON) tools/report_determinism.py \
+	  benchmarks/baselines/BENCH_chaos_fleet_smoke.json \
+	  generated/BENCH_chaos_fleet.json
 	$(PYTHON) -m repro serve top --replay generated/ops_fleet.jsonl \
 	  --frames 3 --no-clear
 	$(PYTHON) tools/telemetry_overhead.py --serve --max-overhead-pct 10

@@ -5,8 +5,7 @@
 - :mod:`~repro.core.sharding.sharded` -- ``ShardedOram`` and the
   partitioned trace simulator with its merged fleet ``sim`` block.
 - :mod:`~repro.core.sharding.fleet` -- the serving fleet: per-shard
-  worker processes, batched cross-shard routing, the kill-a-shard
-  drill.
+  worker processes, keyed-PRF request routing, the kill-a-shard drill.
 - :mod:`~repro.core.sharding.control` -- shard registration,
   heartbeats, and the health state machine.
 
@@ -15,11 +14,10 @@ argument and the control-plane state diagram.
 """
 
 from repro.core.sharding.control import (
-    ControlPlane, ShardEvent, ShardHealth, heartbeat_events,
+    ControlPlane, ShardEvent, ShardHealth, fold_control, heartbeat_events,
 )
 from repro.core.sharding.fleet import (
-    FleetConfig, KillShardDrill, ShardRouter, ShardedStack,
-    build_sharded_stack, run_fleet, shard_requests,
+    FleetConfig, KillShardDrill, run_fleet, shard_requests,
 )
 from repro.core.sharding.partition import PartitionMap
 from repro.core.sharding.sharded import (
@@ -34,11 +32,9 @@ __all__ = [
     "PartitionMap",
     "ShardEvent",
     "ShardHealth",
-    "ShardRouter",
     "ShardedOram",
     "ShardedSimOutcome",
-    "ShardedStack",
-    "build_sharded_stack",
+    "fold_control",
     "heartbeat_events",
     "levels_for_blocks",
     "run_fleet",

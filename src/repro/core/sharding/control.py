@@ -2,12 +2,13 @@
 
 Each shard of a fleet runs in its own worker process on its own
 simulated clock; the control plane lives in the parent and never
-touches a shard directly. Instead, every shard cell returns a
-deterministic *event stream* stamped in its simulated DRAM-ns --
-``register`` at start, ``heartbeat`` at a fixed cadence, paired
-``degraded_enter``/``degraded_exit`` markers when the resilient
-serving loop quarantines storage, and ``complete`` at the end. The
-parent merges all streams into one global timeline (ordered by
+touches a shard directly. Instead, every shard cell returns its
+serving window and degraded episodes, and :func:`fold_control` turns
+each into a deterministic *event stream* stamped in the shard's
+simulated DRAM-ns -- ``register`` at start, ``heartbeat`` at a fixed
+cadence, paired ``degraded_enter``/``degraded_exit`` markers when the
+resilient serving loop quarantines storage, and ``complete`` at the
+end. The streams merge into one global timeline (ordered by
 ``(ns, shard, kind)``) and drives a per-shard state machine over it::
 
     REGISTERED --heartbeat--> HEALTHY
@@ -26,7 +27,7 @@ count, which is what lets reports embed it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 REGISTERED = "registered"
 HEALTHY = "healthy"
@@ -231,3 +232,30 @@ def heartbeat_events(
         k += 1
     events.append(ShardEvent(shard, "complete", end_ns))
     return events
+
+
+def fold_control(
+    windows: Iterable[Tuple[int, float, float, Sequence[Dict[str, Any]]]],
+    heartbeat_ns: float,
+    miss_after: int = 3,
+) -> ControlPlane:
+    """Drive a control plane over shards' serving windows.
+
+    Each window is ``(shard, start_ns, end_ns, episodes)``: the shard's
+    heartbeat train over ``[start_ns, end_ns]`` plus one
+    ``degraded_enter``/``degraded_exit`` pair per degraded episode of
+    the resilient serving loop, merged into one fleet timeline.
+    """
+    events: List[ShardEvent] = []
+    for shard, start_ns, end_ns, episodes in windows:
+        events.extend(heartbeat_events(shard, start_ns, end_ns, heartbeat_ns))
+        for episode in episodes:
+            events.append(
+                ShardEvent(shard, "degraded_enter", episode["enter_ns"])
+            )
+            events.append(
+                ShardEvent(shard, "degraded_exit", episode["exit_ns"])
+            )
+    plane = ControlPlane(heartbeat_ns, miss_after=miss_after)
+    plane.run(events)
+    return plane

@@ -1,28 +1,23 @@
-"""The serving fleet: N worker shards behind one batched router.
+"""The serving fleet: N worker shards behind one keyed-PRF router.
 
 This is the serving-layer face of sharding (the simulator face lives
 in :mod:`repro.core.sharding.sharded`): each shard is a complete
 :class:`~repro.serve.stack.ServedStack` -- its own ORAM, DRAM model,
 clock and scheduler -- and a request stream is split across them by
-the keyed-PRF partition map over the request *key*. Two execution
-forms share the exact same routing rule:
+the keyed-PRF partition map over the request *key*. Because one key
+maps to exactly one shard, the scheduler's per-key FIFO contract holds
+fleet-wide: every operation on a key lands on one scheduler in arrival
+order.
 
-- :class:`ShardRouter` -- in-process: one
-  :class:`~repro.serve.scheduler.BatchScheduler` per shard, a window
-  of requests is grouped by shard (a stable partition of arrival
-  order) and each sub-batch served on its shard. Because one key maps
-  to exactly one shard, the per-key FIFO contract of the scheduler is
-  inherited verbatim: operations on one key all land on one scheduler
-  in arrival order.
-
-- :func:`run_fleet` -- multi-process: each shard is one cell of
-  :func:`repro.parallel.executor.run_cells`, rebuilt in its worker
-  from ``(FleetConfig, shard id)`` alone. A shard regenerates the full
-  workload, keeps exactly the requests the partition map routes to it,
-  and serves them on its own simulated clock -- so an N-shard fleet
-  *is* N independently-run serial reference shards by construction,
-  and the merged per-shard blocks are byte-identical to running each
-  shard alone (the fleet-vs-serial CI gate).
+:func:`run_fleet` runs each shard as one cell of
+:func:`repro.parallel.executor.run_cells`, rebuilt in its worker from
+``(FleetConfig, shard id)`` alone. A shard regenerates the full
+workload, keeps exactly the requests the partition map routes to it
+(:func:`shard_requests`), and serves them through
+:func:`~repro.serve.cell.serve_cell` on its own simulated clock -- so
+an N-shard fleet *is* N independently-run serial reference shards by
+construction, and the merged per-shard blocks are byte-identical to
+running each shard alone (the fleet-vs-serial CI gate).
 
 Fleet timing: shards drain concurrently, so the fleet's service time
 for a window of requests is the *makespan* -- the slowest shard's
@@ -31,10 +26,10 @@ over that makespan. That is the quantity the capacity benchmark's
 >=3x-at-4-shards gate measures.
 
 The fleet also carries the minimal control plane
-(:mod:`repro.core.sharding.control`): every shard cell emits a
-deterministic event stream on its simulated clock (register,
-heartbeats, degraded markers, complete) and the parent drives the
-health state machines over the merged timeline. The
+(:mod:`repro.core.sharding.control`): every shard cell reports its
+serving window and degraded episodes on its simulated clock, and the
+parent folds them into heartbeat trains and degraded markers and
+drives the health state machines over the merged timeline. The
 ``kill-a-shard-under-load`` drill arms a fault plan under exactly one
 shard (a sealed chaos stack), which drives that shard through
 quarantine -> degraded serving -> rebuild while the rest of the fleet
@@ -45,149 +40,21 @@ exercised at fleet scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.sharding.control import (
-    ControlPlane, ShardEvent, control_metrics, heartbeat_events,
-)
+from repro.core.sharding.control import control_metrics, fold_control
 from repro.core.sharding.partition import PartitionMap
 from repro.faults.plan import FaultPlan
 from repro.oram.recovery import RobustnessConfig
-from repro.parallel.executor import Cell, derive_seed, report_progress, run_cells
+from repro.parallel.executor import Cell, report_progress, run_cells
+from repro.serve.cell import (
+    degraded_block, detection_block, episode_block, percentiles,
+    request_block, serve_cell,
+)
 from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
-from repro.serve.replay import replay
-from repro.serve.request import OK, STATUSES, Completion, Request
-from repro.serve.resilience import ResilienceConfig, resilient_replay
-from repro.serve.scheduler import BatchScheduler
-from repro.serve.stack import ServedStack, build_stack
+from repro.serve.request import OK, STATUSES, Request
+from repro.serve.resilience import ResilienceConfig
 from repro.telemetry.metrics import merge_snapshots
-
-
-# ------------------------------------------------------- in-process routing
-
-@dataclass
-class ShardedStack:
-    """N independent served stacks behind one partition map.
-
-    What ``build_stack(num_shards=N)`` returns: the in-process fleet,
-    for interactive use and the routing-contract tests. Each shard's
-    stack is seeded independently (``derive_seed(seed, "shard:i")``)
-    and keeps its own simulated clock.
-    """
-
-    num_shards: int
-    stacks: List[ServedStack]
-    pmap: PartitionMap
-
-    @property
-    def now_ns(self) -> float:
-        """The fleet clock: the slowest shard's simulated time."""
-        return max(s.now_ns for s in self.stacks)
-
-    def shard_of(self, key: bytes) -> int:
-        return self.pmap.shard_of_bytes(key)
-
-    def preload(self, items: Sequence[Tuple[bytes, bytes]]) -> int:
-        """Route and bulk-load initial items; returns blocks consumed."""
-        routed: List[List[Tuple[bytes, bytes]]] = [
-            [] for _ in range(self.num_shards)
-        ]
-        for key, value in items:
-            routed[self.shard_of(key)].append((key, value))
-        return sum(
-            stack.kv.preload(batch)
-            for stack, batch in zip(self.stacks, routed)
-        )
-
-    def arm_faults(self) -> None:
-        for stack in self.stacks:
-            stack.arm_faults()
-
-    def router(
-        self, policy: str = "batch", seed: int = 0
-    ) -> "ShardRouter":
-        return ShardRouter(self, policy=policy, seed=seed)
-
-
-def build_sharded_stack(
-    scheme: str = "ab",
-    levels: int = 10,
-    num_shards: int = 2,
-    seed: int = 0,
-    **stack_kwargs: Any,
-) -> ShardedStack:
-    """Build an in-process fleet of ``num_shards`` served stacks.
-
-    ``levels`` is the *per-shard* tree depth (a fleet of N L-level
-    subtrees holds ~N times the blocks of one L-level tree).
-    Per-stack keyword arguments pass through to
-    :func:`~repro.serve.stack.build_stack`, except ``telemetry``:
-    per-operation tracing assumes one clock and a fleet has N.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if stack_kwargs.get("telemetry") is not None:
-        raise ValueError("telemetry tracing is per-stack; fleets do not "
-                         "support it (trace a single shard instead)")
-    stack_kwargs.pop("telemetry", None)
-    stacks = [
-        build_stack(
-            scheme=scheme, levels=levels,
-            seed=derive_seed(seed, f"shard:{i}"), **stack_kwargs,
-        )
-        for i in range(num_shards)
-    ]
-    return ShardedStack(
-        num_shards=num_shards,
-        stacks=stacks,
-        pmap=PartitionMap(num_shards, seed=seed),
-    )
-
-
-class ShardRouter:
-    """Batched cross-shard routing over an in-process fleet.
-
-    A window of requests is *stably partitioned* by shard -- each
-    shard's sub-batch keeps the window's arrival order -- and served
-    shard by shard; completions return grouped by shard in shard
-    order. Per-key FIFO survives routing because the partition map
-    sends every operation on one key to the same shard, whose
-    scheduler already guarantees the contract.
-    """
-
-    def __init__(
-        self, stack: ShardedStack, policy: str = "batch", seed: int = 0
-    ) -> None:
-        self.stack = stack
-        self.pmap = stack.pmap
-        self.schedulers = [
-            BatchScheduler(
-                s.kv, policy=policy, seed=derive_seed(seed, f"shard:{i}"),
-                clock=(lambda s=s: s.dram_sink.now),
-            )
-            for i, s in enumerate(stack.stacks)
-        ]
-
-    def route(self, window: Sequence[Request]) -> List[List[Request]]:
-        """Group one admission window by shard, preserving order."""
-        batches: List[List[Request]] = [
-            [] for _ in range(self.stack.num_shards)
-        ]
-        for req in window:
-            batches[self.pmap.shard_of_bytes(req.key)].append(req)
-        return batches
-
-    def serve_window(self, window: Sequence[Request]) -> List[Completion]:
-        """Dispatch one window's shard batches and merge completions."""
-        out: List[Completion] = []
-        for shard, batch in enumerate(self.route(window)):
-            if batch:
-                out.extend(self.schedulers[shard].serve_batch(batch))
-        return out
-
-    def stats(self) -> List[Dict[str, Any]]:
-        """Per-shard scheduler stats, shard order."""
-        return [s.stats() for s in self.schedulers]
 
 
 # ---------------------------------------------------------- the fleet sweep
@@ -287,111 +154,57 @@ def shard_requests(
     return items, reqs
 
 
-def _percentile_block(latencies: Sequence[float]) -> Dict[str, float]:
-    from repro.serve.bench import _percentiles
-    return _percentiles(latencies)
-
-
-def _fleet_shard_task(payload: Tuple[FleetConfig, int]) -> Dict[str, Any]:
+def _serve_shard(payload: Tuple[FleetConfig, int]) -> Dict[str, Any]:
     """Serve one shard's slice end-to-end; the unit of fleet fan-out.
 
     Pure in ``(cfg, shard)``: workload, partition map, stack seed and
     scheduler seed are all derived from the payload, so the result is
     identical whether the shard runs in-process, in a spawn worker, or
     alone as a serial reference. Returns the shard's deterministic
-    report block plus its control-plane event stream and the latency
-    samples the parent folds into fleet percentiles. No wall-clock
-    fields: everything here lands in the deterministic view.
+    report block plus its serving window for the control plane and the
+    latency samples the parent folds into fleet percentiles. No
+    wall-clock fields: everything here lands in the deterministic view.
     """
     cfg, shard = payload
-    drilled = cfg.drill is not None and cfg.drill.shard == shard
+    drill = cfg.drill
+    if drill is not None and drill.shard != shard:
+        drill = None
     report_progress(
-        f"shard {shard}/{cfg.num_shards}{' [drill]' if drilled else ''} ..."
+        f"shard {shard}/{cfg.num_shards}{' [drill]' if drill else ''} ..."
     )
-    items, reqs = shard_requests(cfg, shard)
-    stack_seed = derive_seed(cfg.seed, f"shard:{shard}")
-    if drilled:
-        stack = build_stack(
-            scheme=cfg.scheme, levels=cfg.levels, seed=stack_seed,
-            observer=True, robustness=cfg.drill.robustness,
-            fault_plan=cfg.drill.faults,
-        )
-        # Sealed stacks cannot bulk-preload: populate through real puts
-        # while the fault wrapper is disarmed, then arm it so faults
-        # fire only on the live-serving portion.
-        for key, value in items:
-            stack.kv.put(key, value)
-        stack.arm_faults()
-        t0 = stack.dram_sink.now
-        reqs = [replace(r, arrival_ns=r.arrival_ns + t0) for r in reqs]
-    else:
-        stack = build_stack(
-            scheme=cfg.scheme, levels=cfg.levels, seed=stack_seed,
-            observer=True,
-        )
-        stack.kv.preload(items)
-    scheduler = BatchScheduler(
-        stack.kv, policy=cfg.policy, seed=stack_seed,
-        clock=lambda: stack.dram_sink.now,
-    )
-    if drilled:
-        result = resilient_replay(
-            stack, reqs, scheduler, cfg.drill.resilience,
-            max_batch=cfg.max_batch,
-        )
-    else:
-        result = replay(stack, reqs, scheduler, max_batch=cfg.max_batch)
-    comps = result.completions
-    served = [c for c in comps if c.status == OK]
-    status: Dict[str, int] = {s: 0 for s in STATUSES}
-    for c in comps:
-        status[c.status] += 1
-    stats = scheduler.stats()
-    sim: Dict[str, Any] = {
-        "requests": len(reqs),
-        "completions": len(comps),
-        "status": status,
-        "availability": status[OK] / len(comps) if comps else 1.0,
-        "accesses_issued": stats["accesses_issued"],
-        "dedup_hits": stats["dedup_hits"],
-        "coalesced_puts": stats["coalesced_puts"],
-        "absent_gets": stats["absent_gets"],
-        "sim_ns": result.sim_ns,
-        "latency_ns": _percentile_block([c.latency_ns for c in served]),
+    stack: Dict[str, Any] = {
+        "scheme": cfg.scheme, "levels": cfg.levels, "seed": cfg.seed,
     }
-    events = heartbeat_events(
-        shard, result.start_ns, result.end_ns, cfg.heartbeat_ns
+    if drill is not None:
+        stack.update(robustness=drill.robustness, fault_plan=drill.faults)
+    served = serve_cell(
+        stack, shard_requests(cfg, shard),
+        ResilienceConfig() if drill is None else drill.resilience,
+        shard, policy=cfg.policy, max_batch=cfg.max_batch,
     )
-    if drilled:
-        from repro.serve.chaos import _detection_block, _episode_block
-        sim["degraded_reads"] = result.degraded_reads
-        sim["retries"] = result.retries
-        sim["journal"] = {
-            "appends": result.journal_appends,
-            "replayed": result.journal_replayed,
-            "sheds": result.journal_sheds,
-        }
-        sim["episodes"] = _episode_block(result.episodes)
-        if stack.faulty is not None:
-            summary = stack.faulty.summary()
+    result = served.result
+    latencies = [c.latency_ns for c in result.completions if c.status == OK]
+    sim: Dict[str, Any] = {
+        **request_block(served),
+        "sim_ns": result.sim_ns,
+        "latency_ns": percentiles(latencies),
+    }
+    if drill is not None:
+        sim.update(degraded_block(result))
+        sim["episodes"] = episode_block(result.episodes)
+        if served.stack.faulty is not None:
+            summary = served.stack.faulty.summary()
             sim["faults"] = summary
-            sim["detection"] = _detection_block(summary)
-        for episode in result.episodes:
-            events.append(
-                ShardEvent(shard, "degraded_enter", episode["enter_ns"])
-            )
-            events.append(
-                ShardEvent(shard, "degraded_exit", episode["exit_ns"])
-            )
+            sim["detection"] = detection_block(summary)
     return {
         "cell": {
             "shard": shard,
-            "drill": drilled,
-            "stored_keys": len(items),
+            "drill": drill is not None,
+            "stored_keys": served.stored_keys,
             "sim": sim,
         },
-        "events": [e.to_dict() for e in events],
-        "latencies": [c.latency_ns for c in served],
+        "window": (shard, result.start_ns, result.end_ns, result.episodes),
+        "latencies": latencies,
     }
 
 
@@ -416,13 +229,13 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
         )
     worker_cfg = replace(cfg, progress=None, workers=1)
     outputs = run_cells(
-        _fleet_shard_task,
+        _serve_shard,
         [Cell(f"shard:{i}", (worker_cfg, i)) for i in range(cfg.num_shards)],
         workers=cfg.workers,
         progress=cfg.progress,
     )
     shards: List[Dict[str, Any]] = []
-    events: List[ShardEvent] = []
+    windows: List[Tuple[int, float, float, Any]] = []
     latencies: List[float] = []
     snapshots: List[dict] = []
     failed = False
@@ -432,14 +245,11 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
             failed = True
             continue
         shards.append(res.value["cell"])
-        events.extend(
-            ShardEvent(**e) for e in res.value["events"]
-        )
+        windows.append(res.value["window"])
         latencies.extend(res.value["latencies"])
         if res.metrics:
             snapshots.append(res.metrics)
-    control = ControlPlane(cfg.heartbeat_ns, miss_after=cfg.miss_after)
-    control.run(events)
+    control = fold_control(windows, cfg.heartbeat_ns, cfg.miss_after)
     ok_cells = [s for s in shards if "error" not in s]
     completions = sum(s["sim"]["completions"] for s in ok_cells)
     requests = sum(s["sim"]["requests"] for s in ok_cells)
@@ -459,7 +269,7 @@ def run_fleet(cfg: FleetConfig) -> Dict[str, Any]:
         "requests_per_s_sim": (
             completions / (makespan / 1e9) if makespan > 0 else 0.0
         ),
-        "latency_ns": _percentile_block(latencies),
+        "latency_ns": percentiles(latencies),
     }
     doc: Dict[str, Any] = {
         "num_shards": cfg.num_shards,
@@ -482,10 +292,6 @@ __all__ = [
     "DRILL_ROBUSTNESS",
     "FleetConfig",
     "KillShardDrill",
-    "ShardRouter",
-    "ShardedStack",
-    "build_sharded_stack",
     "run_fleet",
     "shard_requests",
-    "_fleet_shard_task",
 ]

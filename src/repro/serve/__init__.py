@@ -12,9 +12,15 @@ The serving layer turns the single-caller
 - :mod:`repro.serve.loadgen` -- the open-loop load generator:
   seed-pinned Poisson and bursty arrivals, zipf key popularity over
   key universes up to millions of keys;
-- :mod:`repro.serve.replay` -- drives a generated workload through the
-  scheduler on the simulated DRAM-ns clock (open loop: arrivals never
-  wait for service, so queueing is measured honestly);
+- :mod:`repro.serve.resilience` -- the serving loop: drives a
+  generated workload through the scheduler on the simulated DRAM-ns
+  clock (open loop: arrivals never wait for service, so queueing is
+  measured honestly), with per-request deadlines, bounded admission
+  with load shedding, and degraded-mode serving (stash-resident reads
+  + a write journal) while quarantined buckets rebuild;
+- :mod:`repro.serve.cell` -- :func:`serve_cell`, the one way every
+  harness serves a cell: build and populate a stack, then run a
+  workload slice through the loop;
 - :mod:`repro.serve.server` -- a thread-pool front-end for wall-clock
   serving: clients submit concurrently, one scheduler thread services
   batches;
@@ -23,10 +29,6 @@ The serving layer turns the single-caller
   ``BENCH_serve.json`` harness (the tail-latency yardstick CI gates);
 - :mod:`repro.serve.tracing` -- per-request Perfetto traces splitting
   queueing vs. ORAM vs. DRAM time;
-- :mod:`repro.serve.resilience` -- the chaos-hardened serving loop:
-  per-request deadlines, bounded admission with load shedding, and
-  degraded-mode serving (stash-resident reads + a write journal) while
-  quarantined buckets rebuild;
 - :mod:`repro.serve.chaos` -- the ``BENCH_chaos.json`` campaign: fault
   injection under live load, gated on availability and detection;
 - :mod:`repro.serve.scaling` -- the ``BENCH_scaling.json`` capacity
@@ -35,6 +37,7 @@ The serving layer turns the single-caller
   availability, and control-plane health.
 """
 
+from repro.serve.cell import ServedCell, serve_cell
 from repro.serve.chaos import ChaosCell, ChaosConfig, run_chaos
 from repro.serve.scaling import (
     ScalingCell, ScalingConfig, run_scaling, scaling_check,
@@ -46,7 +49,7 @@ from repro.serve.resilience import (
 )
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.server import KVServer
-from repro.serve.stack import ServedStack, build_stack, preload_keys
+from repro.serve.stack import ServedStack, build_stack
 
 __all__ = [
     "BatchScheduler",
@@ -62,6 +65,7 @@ __all__ = [
     "ResilienceConfig",
     "ScalingCell",
     "ScalingConfig",
+    "ServedCell",
     "ServedStack",
     "WorkloadConfig",
     "build_stack",
@@ -69,8 +73,8 @@ __all__ = [
     "scaling_check",
     "generate_requests",
     "key_name",
-    "preload_keys",
     "resilient_replay",
     "run_chaos",
+    "serve_cell",
     "value_for",
 ]

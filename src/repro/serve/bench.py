@@ -1,11 +1,12 @@
 """Run the serving matrix and build the ``BENCH_serve.json`` report.
 
 Every cell is one (workload, policy) pair served end-to-end on a fresh
-stack: build the ORAM + DRAM model, preload the stored keys, generate
-the workload, replay it open-loop on the simulated clock. The ``sim``
-block of a cell is a pure function of the config, so the report's
-deterministic fields are byte-identical across runs, machines and
-worker counts; only wall-clock fields vary.
+stack through :func:`~repro.serve.cell.serve_cell`: build the ORAM +
+DRAM model, preload the stored keys, generate the workload, serve it
+open-loop on the simulated clock. The ``sim`` block of a cell is a
+pure function of the config, so the report's deterministic fields are
+byte-identical across runs, machines and worker counts; only
+wall-clock fields vary.
 
 The matrix always pairs the ``batch`` scheduler against the naive
 ``fifo`` baseline over identical workloads -- the report is the
@@ -21,14 +22,12 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.parallel.executor import Cell, report_progress, run_cells
+from repro.serve.cell import SCHEDULER_COUNTS, percentiles, serve_cell
 from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
-from repro.serve.replay import replay
-from repro.serve.scheduler import POLICIES, BatchScheduler
+from repro.serve.scheduler import POLICIES
 from repro.serve.schema import REPORT_KIND, SCHEMA_VERSION
-from repro.serve.stack import attacker_block, build_stack
+from repro.serve.stack import attacker_block
 from repro.serve.tracing import request_trace_doc, write_trace
 
 
@@ -164,20 +163,7 @@ def _environment() -> Dict[str, str]:
     }
 
 
-def _percentiles(values: Sequence[float]) -> Dict[str, float]:
-    if not len(values):
-        return {"p50": 0.0, "p99": 0.0, "p999": 0.0, "mean": 0.0, "max": 0.0}
-    arr = np.asarray(values, dtype=np.float64)
-    return {
-        "p50": float(np.percentile(arr, 50)),
-        "p99": float(np.percentile(arr, 99)),
-        "p999": float(np.percentile(arr, 99.9)),
-        "mean": float(arr.mean()),
-        "max": float(arr.max()),
-    }
-
-
-def _serve_cell_task(
+def _serve_bench_cell(
     payload: Tuple[ServeConfig, WorkloadConfig, str]
 ) -> Dict[str, Any]:
     """One matrix cell, runnable in-process or in a spawn worker."""
@@ -187,33 +173,22 @@ def _serve_cell_task(
         cfg.trace_out is not None
         and cfg.trace_cell == (workload.name, policy)
     )
-    telemetry = None
-    if want_trace:
-        from repro.telemetry import Telemetry
-        telemetry = Telemetry(meta={
+    served = serve_cell(
+        {"scheme": cfg.scheme, "levels": cfg.levels, "seed": cfg.seed},
+        (initial_items(workload), generate_requests(workload)),
+        policy=policy, max_batch=cfg.max_batch,
+        trace_meta={
             "workload": workload.name, "policy": policy,
             "scheme": cfg.scheme, "levels": cfg.levels, "seed": cfg.seed,
-        })
-    stack = build_stack(
-        scheme=cfg.scheme, levels=cfg.levels, seed=cfg.seed,
-        telemetry=telemetry, observer=True,
+        } if want_trace else None,
     )
-    stack.kv.preload(initial_items(workload))
-    requests = generate_requests(workload)
-    scheduler = BatchScheduler(
-        stack.kv, policy=policy, seed=cfg.seed,
-        clock=lambda: stack.dram_sink.now,
-    )
-    result = replay(stack, requests, scheduler, max_batch=cfg.max_batch)
+    result = served.result
     comps = result.completions
-    stats = scheduler.stats()
+    stats = served.scheduler.stats()
     sim_s = result.sim_ns / 1e9
     sim: Dict[str, Any] = {
         "requests": stats["requests"],
-        "accesses_issued": stats["accesses_issued"],
-        "dedup_hits": stats["dedup_hits"],
-        "coalesced_puts": stats["coalesced_puts"],
-        "absent_gets": stats["absent_gets"],
+        **{k: stats[k] for k in SCHEDULER_COUNTS},
         "accesses_per_request": (
             stats["accesses_issued"] / stats["requests"]
             if stats["requests"] else 0.0
@@ -222,19 +197,19 @@ def _serve_cell_task(
         "batch_size_hist": stats["batch_size_hist"],
         "sim_ns": result.sim_ns,
         "requests_per_s_sim": len(comps) / sim_s if sim_s > 0 else 0.0,
-        "latency_ns": _percentiles([c.latency_ns for c in comps]),
-        "queue_ns": _percentiles([c.queue_ns for c in comps]),
-        "service_ns": _percentiles([c.service_ns for c in comps]),
+        "latency_ns": percentiles([c.latency_ns for c in comps]),
+        "queue_ns": percentiles([c.queue_ns for c in comps]),
+        "service_ns": percentiles([c.service_ns for c in comps]),
     }
-    security = attacker_block(stack.attacker)
+    security = attacker_block(served.stack.attacker)
     if security is not None:
         sim["security"] = security
     if want_trace:
         doc = request_trace_doc(
-            comps, telemetry.spans, meta=telemetry.meta,
+            comps, served.telemetry.spans, meta=served.telemetry.meta,
         )
         write_trace(doc, cfg.trace_out)
-    wall_lat_us = _percentiles([c.wall_s * 1e6 for c in comps])
+    wall_lat_us = percentiles([c.wall_s * 1e6 for c in comps])
     wall_lat_us.pop("mean", None)
     wall_lat_us.pop("max", None)
     return {
@@ -272,7 +247,7 @@ def run_serve(cfg: Optional[ServeConfig] = None) -> Dict[str, Any]:
     worker_cfg = replace(cfg, progress=None, workers=1)
     pairs = [(w, p) for w in cfg.workloads for p in cfg.policies]
     outputs = run_cells(
-        _serve_cell_task,
+        _serve_bench_cell,
         [Cell(f"{w.name}/{p}", (worker_cfg, w, p)) for w, p in pairs],
         workers=cfg.workers,
         progress=cfg.progress,

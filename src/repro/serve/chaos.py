@@ -33,28 +33,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.sharding.control import ControlPlane, ShardEvent, heartbeat_events
-from repro.core.sharding.partition import PartitionMap
 from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.oram.recovery import RobustnessConfig
 from repro.parallel.executor import Cell, derive_seed, report_progress, run_cells
-from repro.serve.bench import _environment, _percentiles
+from repro.serve.bench import _environment
+from repro.serve.cell import (
+    TAMPER_KINDS, degraded_block, detection_block, episode_block,
+    percentiles, request_block, serve_cell,
+)
 from repro.serve.loadgen import (
     WorkloadConfig, generate_requests, initial_items,
 )
 from repro.serve.request import OK, STATUSES
-from repro.serve.resilience import ResilienceConfig, resilient_replay
-from repro.serve.scheduler import BatchScheduler
+from repro.serve.resilience import ResilienceConfig
 from repro.serve.schema import CHAOS_REPORT_KIND, SCHEMA_VERSION
-from repro.serve.stack import attacker_block, build_stack
+from repro.serve.stack import attacker_block
 from repro.serve.tracing import request_trace_doc, write_trace
-
-#: Fault kinds whose detection is synchronous at the injection site --
-#: the 100%-detection CI gate quantifies over these. ``dropped_write``
-#: detection is lazy (a later read of the bucket) and ``unavailable``
-#: is overt (the error *is* the fault), so neither belongs in the gate.
-TAMPER_KINDS = ("bit_flip", "replay")
-
 
 @dataclass(frozen=True)
 class ChaosCell:
@@ -241,108 +235,102 @@ def full_config(**overrides: Any) -> ChaosConfig:
 
 # ------------------------------------------------------------------ runner
 
-def _episode_block(episodes: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    spans = [e["exit_ns"] - e["enter_ns"] for e in episodes]
-    return {
-        "count": len(episodes),
-        "recover_ns_mean": sum(spans) / len(spans) if spans else 0.0,
-        "recover_ns_max": max(spans) if spans else 0.0,
-        "rebuilt": sum(e["rebuilt"] for e in episodes),
-        "journal_replayed": sum(e["journal_replayed"] for e in episodes),
-    }
+def _cell_fleet(cfg: ChaosConfig, cell: ChaosCell) -> Any:
+    """The fleet a sharded cell runs as: its workload over every shard."""
+    from repro.core.sharding.fleet import FleetConfig
+    return FleetConfig(
+        workload=cell.workload, scheme=cfg.scheme, levels=cfg.levels,
+        num_shards=cfg.num_shards, seed=cfg.seed, max_batch=cfg.max_batch,
+        heartbeat_ns=cfg.heartbeat_ns,
+    )
 
 
-def _detection_block(summary: Dict[str, Any]) -> Dict[str, Any]:
-    injected = sum(summary["injected"][k] for k in TAMPER_KINDS)
-    detected = sum(summary["detected"][k] for k in TAMPER_KINDS)
-    return {
-        "tamper_injected": injected,
-        "tamper_detected": detected,
-        "rate": detected / injected if injected else 1.0,
-    }
+def _serve_chaos(
+    payload: Tuple[ChaosConfig, ChaosCell, Optional[int]],
+) -> Dict[str, Any]:
+    """One campaign cell, or one shard of it, in-process or in a worker.
 
-
-def _chaos_cell_task(payload: Tuple[ChaosConfig, ChaosCell]) -> Dict[str, Any]:
-    """One campaign cell, runnable in-process or in a spawn worker."""
-    cfg, cell = payload
-    report_progress(f"chaos {cell.name} ...")
+    A shard serves exactly the keys the fleet-wide keyed-PRF partition
+    map assigns it (:func:`~repro.core.sharding.fleet.shard_requests`),
+    on an independently seeded stack with an independently seeded fault
+    plan -- so the split never depends on which process runs it.
+    """
+    cfg, cell, shard = payload
+    meta: Dict[str, Any] = {"cell": cell.name}
+    faults = cell.faults
+    if shard is None:
+        report_progress(f"chaos {cell.name} ...")
+        workload = (
+            initial_items(cell.workload), generate_requests(cell.workload),
+        )
+    else:
+        from repro.core.sharding.fleet import shard_requests
+        report_progress(f"chaos {cell.name}/s{shard} ...")
+        meta["shard"] = shard
+        if faults is not None:
+            faults = replace(
+                faults, seed=derive_seed(faults.seed, f"shard:{shard}"),
+            )
+        workload = shard_requests(_cell_fleet(cfg, cell), shard)
+    meta.update(scheme=cfg.scheme, levels=cfg.levels, seed=cfg.seed)
     want_trace = cfg.trace_out is not None and cfg.trace_cell == cell.name
-    telemetry = None
-    if want_trace:
-        from repro.telemetry import Telemetry
-        telemetry = Telemetry(meta={
-            "cell": cell.name, "scheme": cfg.scheme,
-            "levels": cfg.levels, "seed": cfg.seed,
-        })
-    stack = build_stack(
-        scheme=cfg.scheme, levels=cfg.levels, seed=cfg.seed,
-        telemetry=telemetry, observer=True,
-        robustness=cfg.robustness, fault_plan=cell.faults,
-    )
-    kv = stack.kv
-    # Sealed stacks cannot bulk-preload: populate through real puts
-    # while the fault wrapper is still disarmed, then arm it -- faults
-    # fire only on the measured, live-serving portion of the run.
-    for key, value in initial_items(cell.workload):
-        kv.put(key, value)
-    stack.arm_faults()
-    # The population advanced the simulated clock; shift arrivals so
-    # the open-loop workload starts "now" instead of in the past.
-    t0 = stack.dram_sink.now
-    requests = [
-        replace(r, arrival_ns=r.arrival_ns + t0)
-        for r in generate_requests(cell.workload)
-    ]
-    scheduler = BatchScheduler(
-        kv, policy="batch", seed=cfg.seed,
-        clock=lambda: stack.dram_sink.now,
-    )
-    result = resilient_replay(
-        stack, requests, scheduler, cell.resilience, max_batch=cfg.max_batch,
-    )
-    comps = result.completions
-    served = [c for c in comps if c.status == OK]
-    status = result.status_counts()
-    stats = scheduler.stats()
-    sim_s = result.sim_ns / 1e9
-    sim: Dict[str, Any] = {
-        "requests": len(requests),
-        "completions": len(comps),
-        "status": {s: status.get(s, 0) for s in STATUSES},
-        "availability": (
-            status.get(OK, 0) / len(comps) if comps else 0.0
-        ),
-        "accesses_issued": stats["accesses_issued"],
-        "dedup_hits": stats["dedup_hits"],
-        "coalesced_puts": stats["coalesced_puts"],
-        "absent_gets": stats["absent_gets"],
-        "scheduler_timeouts": stats["timeouts"],
-        "degraded_reads": result.degraded_reads,
-        "journal": {
-            "appends": result.journal_appends,
-            "replayed": result.journal_replayed,
-            "sheds": result.journal_sheds,
+    sample = cfg.ops_out is not None and shard is not None
+    served = serve_cell(
+        {
+            "scheme": cfg.scheme, "levels": cfg.levels, "seed": cfg.seed,
+            "robustness": cfg.robustness, "fault_plan": faults,
         },
-        "retries": result.retries,
-        "episodes": _episode_block(result.episodes),
-        "sim_ns": result.sim_ns,
-        "requests_per_s_sim": len(comps) / sim_s if sim_s > 0 else 0.0,
-        "latency_ns": _percentiles([c.latency_ns for c in served]),
+        workload, cell.resilience, shard, max_batch=cfg.max_batch,
+        trace_meta=meta if want_trace else None,
+        ops=(cell.name, cfg.slo_window_ns) if sample else None,
+    )
+    result = served.result
+    comps = result.completions
+    latencies = [c.latency_ns for c in comps if c.status == OK]
+    stack = served.stack
+    sim: Dict[str, Any] = {
+        **request_block(served),
+        **degraded_block(result),
+        "scheduler_timeouts": served.scheduler.stats()["timeouts"],
         "robust": {
-            "counters": kv.oram.robust.to_dict(),
+            "counters": stack.kv.oram.robust.to_dict(),
             "backoff_stalled_ns": stack.dram_sink.dram.stats.stalled_ns,
         },
     }
     if stack.faulty is not None:
-        summary = stack.faulty.summary()
-        sim["faults"] = summary
-        sim["detection"] = _detection_block(summary)
+        sim["faults"] = stack.faulty.summary()
+    if shard is not None:
+        sim.update(
+            shard=shard, episodes=len(result.episodes),
+            start_ns=result.start_ns, end_ns=result.end_ns,
+        )
+        return {
+            "partial": sim,
+            "episode_list": list(result.episodes),
+            "latencies": latencies,
+            "completions": comps,
+            "spans": list(served.telemetry.spans) if want_trace else None,
+            "events": list(result.events) if want_trace else None,
+            "ops_records": (
+                list(served.sampler.records) if sample else []
+            ),
+            "wall_s": result.wall_s,
+        }
+    sim_s = result.sim_ns / 1e9
+    sim.update({
+        "episodes": episode_block(result.episodes),
+        "sim_ns": result.sim_ns,
+        "requests_per_s_sim": len(comps) / sim_s if sim_s > 0 else 0.0,
+        "latency_ns": percentiles(latencies),
+    })
+    if "faults" in sim:
+        sim["detection"] = detection_block(sim["faults"])
     security = attacker_block(stack.attacker)
     if security is not None:
         sim["security"] = security
     if want_trace:
         doc = request_trace_doc(
-            comps, telemetry.spans, meta=telemetry.meta,
+            comps, served.telemetry.spans, meta=served.telemetry.meta,
             resilience_events=result.events,
         )
         write_trace(doc, cfg.trace_out)
@@ -356,7 +344,7 @@ def _chaos_cell_task(payload: Tuple[ChaosConfig, ChaosCell]) -> Dict[str, Any]:
     }
 
 
-# ----------------------------------------------------------- sharded runner
+# ----------------------------------------------------------- sharded fold
 
 def _cell_slo_rules(cell: ChaosCell) -> Tuple[Any, ...]:
     """Derive a cell's SLO rule set from its CI gate fields."""
@@ -376,107 +364,6 @@ def _sum_tree(blocks: Sequence[Any]) -> Any:
     return sum(blocks)
 
 
-def _chaos_shard_task(
-    payload: Tuple[ChaosConfig, ChaosCell, int],
-) -> Dict[str, Any]:
-    """One shard of one campaign cell, runnable in a spawn worker.
-
-    The shard serves exactly the keys the fleet-wide keyed-PRF
-    partition map assigns it, on an independently seeded stack with an
-    independently seeded fault plan -- the same discipline the sharded
-    simulator uses, so the split never depends on which process runs it.
-    """
-    cfg, cell, shard = payload
-    report_progress(f"chaos {cell.name}/s{shard} ...")
-    pmap = PartitionMap(cfg.num_shards, seed=cfg.seed)
-    stack_seed = derive_seed(cfg.seed, f"shard:{shard}")
-    faults = cell.faults
-    if faults is not None:
-        faults = replace(
-            faults, seed=derive_seed(faults.seed, f"shard:{shard}"),
-        )
-    want_trace = cfg.trace_out is not None and cfg.trace_cell == cell.name
-    telemetry = None
-    if want_trace:
-        from repro.telemetry import Telemetry
-        telemetry = Telemetry(meta={
-            "cell": cell.name, "shard": shard, "scheme": cfg.scheme,
-            "levels": cfg.levels, "seed": cfg.seed,
-        })
-    stack = build_stack(
-        scheme=cfg.scheme, levels=cfg.levels, seed=stack_seed,
-        telemetry=telemetry, observer=True,
-        robustness=cfg.robustness, fault_plan=faults,
-    )
-    kv = stack.kv
-    for key, value in initial_items(cell.workload):
-        if pmap.shard_of_bytes(key) == shard:
-            kv.put(key, value)
-    stack.arm_faults()
-    t0 = stack.dram_sink.now
-    requests = [
-        replace(r, arrival_ns=r.arrival_ns + t0)
-        for r in generate_requests(cell.workload)
-        if pmap.shard_of_bytes(r.key) == shard
-    ]
-    scheduler = BatchScheduler(
-        kv, policy="batch", seed=stack_seed,
-        clock=lambda: stack.dram_sink.now,
-    )
-    sampler = None
-    if cfg.ops_out is not None:
-        from repro.telemetry import OpsSampler
-        sampler = OpsSampler(cell.name, shard, cfg.slo_window_ns, stack)
-    result = resilient_replay(
-        stack, requests, scheduler, cell.resilience,
-        max_batch=cfg.max_batch, sampler=sampler,
-    )
-    comps = result.completions
-    served = [c for c in comps if c.status == OK]
-    status = result.status_counts()
-    stats = scheduler.stats()
-    partial: Dict[str, Any] = {
-        "shard": shard,
-        "requests": len(requests),
-        "completions": len(comps),
-        "status": {s: status.get(s, 0) for s in STATUSES},
-        "availability": (
-            status.get(OK, 0) / len(comps) if comps else 0.0
-        ),
-        "accesses_issued": stats["accesses_issued"],
-        "dedup_hits": stats["dedup_hits"],
-        "coalesced_puts": stats["coalesced_puts"],
-        "absent_gets": stats["absent_gets"],
-        "scheduler_timeouts": stats["timeouts"],
-        "degraded_reads": result.degraded_reads,
-        "journal": {
-            "appends": result.journal_appends,
-            "replayed": result.journal_replayed,
-            "sheds": result.journal_sheds,
-        },
-        "retries": result.retries,
-        "episodes": len(result.episodes),
-        "robust": {
-            "counters": kv.oram.robust.to_dict(),
-            "backoff_stalled_ns": stack.dram_sink.dram.stats.stalled_ns,
-        },
-        "start_ns": result.start_ns,
-        "end_ns": result.end_ns,
-    }
-    if stack.faulty is not None:
-        partial["faults"] = stack.faulty.summary()
-    return {
-        "partial": partial,
-        "episode_list": list(result.episodes),
-        "latencies": [c.latency_ns for c in served],
-        "completions": comps,
-        "spans": list(telemetry.spans) if want_trace else None,
-        "events": list(result.events) if want_trace else None,
-        "ops_records": list(sampler.records) if sampler is not None else [],
-        "wall_s": result.wall_s,
-    }
-
-
 def _merge_shard_cell(
     cfg: ChaosConfig,
     cell: ChaosCell,
@@ -487,19 +374,18 @@ def _merge_shard_cell(
     Counts sum; latency percentiles re-derive from the concatenated
     per-shard served latencies (shard order, so the fold is a pure
     function of the outputs); the control plane replays every shard's
-    heartbeat train and degraded markers on one merged timeline; the
-    SLO engine folds the fleet's completion stream in ``(done_ns,
-    rid)`` order. Everything the ``sim`` block carries is derived from
-    worker-returned simulated state only -- byte-identical at any
-    worker count.
+    serving window on one merged timeline; the SLO engine folds the
+    fleet's completion stream in ``(done_ns, rid)`` order. Everything
+    the ``sim`` block carries is derived from worker-returned simulated
+    state only -- byte-identical at any worker count.
     """
+    from repro.core.sharding.control import fold_control
     from repro.telemetry import SloEngine, fold_completions
 
     outputs = sorted(outputs, key=lambda o: o["partial"]["shard"])
     partials = [o["partial"] for o in outputs]
     episodes = [e for o in outputs for e in o["episode_list"]]
     latencies = [lat for o in outputs for lat in o["latencies"]]
-    n_requests = sum(p["requests"] for p in partials)
     n_comps = sum(p["completions"] for p in partials)
     status = {
         s: sum(p["status"][s] for p in partials) for s in STATUSES
@@ -508,50 +394,35 @@ def _merge_shard_cell(
     end_ns = max(p["end_ns"] for p in partials)
     sim_ns = end_ns - start_ns
     sim_s = sim_ns / 1e9
+    summed = (
+        "requests", "completions", "accesses_issued", "dedup_hits",
+        "coalesced_puts", "absent_gets", "scheduler_timeouts",
+        "degraded_reads", "retries",
+    )
     sim: Dict[str, Any] = {
-        "requests": n_requests,
-        "completions": n_comps,
+        k: sum(p[k] for p in partials) for k in summed
+    }
+    sim.update({
         "status": status,
-        "availability": status.get(OK, 0) / n_comps if n_comps else 0.0,
-        "accesses_issued": sum(p["accesses_issued"] for p in partials),
-        "dedup_hits": sum(p["dedup_hits"] for p in partials),
-        "coalesced_puts": sum(p["coalesced_puts"] for p in partials),
-        "absent_gets": sum(p["absent_gets"] for p in partials),
-        "scheduler_timeouts": sum(
-            p["scheduler_timeouts"] for p in partials
-        ),
-        "degraded_reads": sum(p["degraded_reads"] for p in partials),
+        "availability": status[OK] / n_comps if n_comps else 1.0,
         "journal": _sum_tree([p["journal"] for p in partials]),
-        "retries": sum(p["retries"] for p in partials),
-        "episodes": _episode_block(episodes),
+        "episodes": episode_block(episodes),
         "sim_ns": sim_ns,
         "requests_per_s_sim": n_comps / sim_s if sim_s > 0 else 0.0,
-        "latency_ns": _percentiles(latencies),
+        "latency_ns": percentiles(latencies),
         "robust": _sum_tree([p["robust"] for p in partials]),
         "shards": partials,
-    }
+    })
     if any("faults" in p for p in partials):
         faults = _sum_tree([p["faults"] for p in partials if "faults" in p])
         sim["faults"] = faults
-        sim["detection"] = _detection_block(faults)
-    # Control plane: every shard's deterministic heartbeat train plus
-    # its degraded-episode markers, merged into one fleet timeline.
-    plane_events: List[ShardEvent] = []
-    for o in outputs:
-        p = o["partial"]
-        plane_events.extend(heartbeat_events(
-            p["shard"], p["start_ns"], p["end_ns"], cfg.heartbeat_ns,
-        ))
-        for e in o["episode_list"]:
-            plane_events.append(ShardEvent(
-                p["shard"], "degraded_enter", e["enter_ns"],
-            ))
-            plane_events.append(ShardEvent(
-                p["shard"], "degraded_exit", e["exit_ns"],
-            ))
-    control = ControlPlane(cfg.heartbeat_ns, miss_after=3)
-    control.run(plane_events)
-    sim["control"] = control.summary()
+        sim["detection"] = detection_block(faults)
+    fleet = _cell_fleet(cfg, cell)
+    sim["control"] = fold_control(
+        [(p["shard"], p["start_ns"], p["end_ns"], o["episode_list"])
+         for p, o in zip(partials, outputs)],
+        fleet.heartbeat_ns, fleet.miss_after,
+    ).summary()
     engine = SloEngine(_cell_slo_rules(cell), cfg.slo_window_ns)
     fold_completions(
         engine, [c for o in outputs for c in o["completions"]],
@@ -573,20 +444,13 @@ def _write_jsonl(path: str, records: Sequence[Dict[str, Any]]) -> None:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _run_chaos_sharded(cfg: ChaosConfig) -> Dict[str, Any]:
-    """The fleet campaign: every cell partitioned over ``num_shards``."""
+def _fold_sharded(
+    cfg: ChaosConfig, outputs: Sequence[Any],
+) -> List[Dict[str, Any]]:
+    """Merge every cell's shard outputs; write the trace and streams."""
     from repro.telemetry import ShardFragment, fleet_trace_doc
     from repro.telemetry.fleet import SLO_TID
 
-    worker_cfg = replace(cfg, progress=None, workers=1)
-    tasks = [
-        Cell(f"{c.name}/s{k}", (worker_cfg, c, k))
-        for c in cfg.cells for k in range(cfg.num_shards)
-    ]
-    outputs = run_cells(
-        _chaos_shard_task, tasks,
-        workers=cfg.workers, progress=cfg.progress,
-    )
     cells: List[Dict[str, Any]] = []
     slo_stream: List[Dict[str, Any]] = [{
         "type": "meta", "kind": "repro-slo-stream",
@@ -651,13 +515,7 @@ def _run_chaos_sharded(cfg: ChaosConfig) -> Dict[str, Any]:
         _write_jsonl(cfg.slo_out, slo_stream)
     if cfg.ops_out is not None:
         _write_jsonl(cfg.ops_out, ops_stream)
-    return {
-        "kind": CHAOS_REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "environment": _environment(),
-        "cells": cells,
-    }
+    return cells
 
 
 def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
@@ -683,21 +541,26 @@ def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
             (c for c in cfg.cells if c.expect_episodes), cfg.cells[0]
         )
         cfg = replace(cfg, trace_cell=interesting.name)
-    if cfg.num_shards > 1:
-        return _run_chaos_sharded(cfg)
     worker_cfg = replace(cfg, progress=None, workers=1)
+    sharded = cfg.num_shards > 1
+    shards = range(cfg.num_shards) if sharded else (None,)
     outputs = run_cells(
-        _chaos_cell_task,
-        [Cell(c.name, (worker_cfg, c)) for c in cfg.cells],
+        _serve_chaos,
+        [
+            Cell(c.name if k is None else f"{c.name}/s{k}",
+                 (worker_cfg, c, k))
+            for c in cfg.cells for k in shards
+        ],
         workers=cfg.workers,
         progress=cfg.progress,
     )
-    cells: List[Dict[str, Any]] = []
-    for cell, res in zip(cfg.cells, outputs):
-        if res.ok:
-            cells.append(res.value)
-        else:
-            cells.append({"name": cell.name, "error": res.error})
+    if sharded:
+        cells = _fold_sharded(cfg, outputs)
+    else:
+        cells = [
+            res.value if res.ok else {"name": cell.name, "error": res.error}
+            for cell, res in zip(cfg.cells, outputs)
+        ]
     return {
         "kind": CHAOS_REPORT_KIND,
         "schema_version": SCHEMA_VERSION,

@@ -2,7 +2,7 @@
 
 A :class:`Request` is one client operation with an arrival timestamp;
 the clock domain is the caller's choice (simulated DRAM nanoseconds in
-:mod:`repro.serve.replay`, wall nanoseconds in
+:mod:`repro.serve.resilience`, wall nanoseconds in
 :mod:`repro.serve.server`). A :class:`Completion` is the scheduler's
 answer: the value (for gets), the exact service window on the same
 clock, and how the request was served (its own oblivious accesses, a

@@ -1,11 +1,17 @@
 """Chaos-hardened serving: deadlines, backpressure, degraded mode.
 
-:func:`resilient_replay` is the fault-tolerant sibling of
-:func:`repro.serve.replay.replay`: the same open-loop discrete-event
-serving loop on the simulated DRAM clock, but built to keep answering
-while a :class:`~repro.faults.memory.FaultyMemory` fires bit flips,
-replays, dropped writes and outages underneath the store. Three
-mechanisms, layered:
+:func:`resilient_replay` is the simulated-clock serving loop: an
+open-loop discrete-event loop on the DRAM-ns clock (:attr:`DramSink.now`).
+Requests *arrive* at their generated timestamps whether or not the
+server is ready, the scheduler admits what has arrived (up to
+``max_batch``) whenever it goes idle, and service advances the clock
+through the event-based DRAM model -- so queueing emerges exactly as it
+would in a single-controller deployment, and every latency it records
+is deterministic in (workload seed, stack seed). It is built to keep
+answering while a :class:`~repro.faults.memory.FaultyMemory` fires bit
+flips, replays, dropped writes and outages underneath the store; with a
+default :class:`ResilienceConfig` on a fault-free stack none of the
+mechanisms below ever engages. Three mechanisms, layered:
 
 - **Deadlines + bounded retry.** Every request carries an absolute
   deadline (``arrival + deadline_ns``) on the simulated clock; a

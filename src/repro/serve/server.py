@@ -11,7 +11,7 @@ into one access, superseded writes are acknowledged for free.
 
 The clock is wall nanoseconds (``time.perf_counter_ns``), so
 completions report real queueing and service windows; simulated-ns
-serving lives in :mod:`repro.serve.replay`.
+serving lives in :mod:`repro.serve.resilience`.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional
 
 from repro.app.kvstore import ObliviousKV
 from repro.core import schemes as schemes_mod
@@ -66,8 +66,7 @@ def build_stack(
     fault_plan: Optional[Any] = None,
     pipeline_depth: int = 1,
     dram_window: int = 32,
-    num_shards: int = 1,
-) -> Any:
+) -> ServedStack:
     """Build a timed, observable KV store over a fresh ORAM.
 
     The default payload path is the plaintext ``store_data`` dict:
@@ -89,27 +88,9 @@ def build_stack(
     controller (:mod:`repro.core.pipeline`): path reads of request k+1
     overlap the reshuffle drain of request k on a windowed DRAM model.
     Timing only -- responses are identical at every depth.
-
-    ``num_shards > 1`` returns a
-    :class:`~repro.core.sharding.fleet.ShardedStack` instead: a fleet
-    of ``num_shards`` independent stacks (each an L-``levels`` subtree
-    seeded per shard) behind a keyed-PRF partition map. All other
-    keyword arguments apply per shard; ``telemetry`` is rejected
-    (per-operation tracing assumes one clock, a fleet has N).
     """
     if pipeline_depth < 1:
         raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if num_shards > 1:
-        # Lazy import: fleet.py imports build_stack from this module.
-        from repro.core.sharding.fleet import build_sharded_stack
-        return build_sharded_stack(
-            scheme=scheme, levels=levels, num_shards=num_shards, seed=seed,
-            pad_chunks=pad_chunks, telemetry=telemetry, observer=observer,
-            robustness=robustness, fault_plan=fault_plan,
-            pipeline_depth=pipeline_depth, dram_window=dram_window,
-        )
     cfg = schemes_mod.by_name(scheme, levels)
     fields = (
         md.ab_metadata_fields(cfg) if needs_extensions(cfg)
@@ -162,25 +143,6 @@ def build_stack(
     )
 
 
-def preload_keys(
-    kv: ObliviousKV, items: Sequence[Tuple[bytes, bytes]]
-) -> int:
-    """Bulk-load the initial key set without oblivious accesses.
-
-    Serving benchmarks start from a populated store; issuing one full
-    ORAM access per preloaded chunk would dwarf the measured workload
-    (and for million-key stores, take hours). Returns the block count
-    consumed.
-    """
-    return kv.preload(items)
-
-
-def capacity_keys(kv: ObliviousKV, value_bytes: int) -> int:
-    """How many keys of ~``value_bytes`` values the store can hold."""
-    chunks = max(1, -(-value_bytes // kv.chunk_payload))
-    return kv.free_blocks // chunks
-
-
 def attacker_block(attacker: Optional[GuessingAttacker]) -> Optional[dict]:
     """The report's ``security`` block (None when no observer ran)."""
     if attacker is None or attacker.guesses == 0:
@@ -197,6 +159,4 @@ __all__: List[str] = [
     "ServedStack",
     "attacker_block",
     "build_stack",
-    "capacity_keys",
-    "preload_keys",
 ]

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import schemes
 from repro.oram.config import BucketGeometry, OramConfig, uniform_geometry
+from repro.serve.request import DELETE, OK, PUT, STATUSES
 
 
 def tiny_config(
@@ -45,6 +46,38 @@ def tiny_ab_config(levels: int = 6, **kw) -> OramConfig:
     )
     opts.update(kw)
     return OramConfig(**opts)
+
+
+def check_per_key_fifo(requests, completions, initial):
+    """Every served answer equals the serial-replay answer.
+
+    The plain-dict reference model of the serving layer: replays the
+    *served* operations (``TIMED_OUT``/``SHED``/``FAILED`` have no
+    store effect) in arrival order against a dict seeded with
+    ``initial``; every ok get must return exactly the reference value,
+    whatever batching, degraded mode or shard routing sat in between.
+    """
+    reqs = {r.rid: r for r in requests}
+    assert len(completions) == len(requests)
+    assert {c.rid for c in completions} == set(reqs)
+    store = dict(initial)
+    for c in sorted(completions, key=lambda c: (c.arrival_ns, c.rid)):
+        assert c.status in STATUSES
+        if c.status != OK:
+            assert c.accesses == 0
+            continue
+        req = reqs[c.rid]
+        if req.op == PUT:
+            store[req.key] = req.value
+        elif req.op == DELETE:
+            store.pop(req.key, None)
+        else:
+            expected = store.get(req.key)
+            assert c.value == expected, (
+                f"rid {c.rid} read {c.value!r}, serial replay says "
+                f"{expected!r} (degraded={c.degraded})"
+            )
+            assert c.ok == (expected is not None)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import copy
 import time
 
 import pytest
+from conftest import check_per_key_fifo
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +28,10 @@ from repro.serve.compare import (
     EXIT_ERROR, EXIT_OK, EXIT_REGRESSION, compare_chaos_reports,
     compare_files,
 )
-from repro.serve.loadgen import WorkloadConfig
-from repro.serve.request import FAILED, OK, SHED, STATUSES, TIMED_OUT
+from repro.serve.loadgen import (
+    WorkloadConfig, generate_requests, initial_items,
+)
+from repro.serve.request import FAILED, OK, SHED, TIMED_OUT
 from repro.serve.resilience import (
     ResilienceConfig, _journal_view, resilient_replay,
 )
@@ -148,6 +151,48 @@ class TestJournalView:
 
     def test_unjournaled_key(self):
         assert _journal_view(self._journal(), b"z", (99.0, 9)) == (False, None)
+
+
+# ------------------------------------------------------------ plain serving
+
+class TestPlainServing:
+    """The open-loop contract under a default (never-engaging) policy."""
+
+    WORKLOAD = WorkloadConfig(
+        name="w", n_requests=120, stored_keys=30, n_keys=1000,
+        rate_rps=2e6, value_bytes=60,
+    )
+
+    def _serve(self, max_batch=32):
+        stack = plain_stack(initial_items(self.WORKLOAD))
+        return resilient_replay(
+            stack, generate_requests(self.WORKLOAD), scheduler_for(stack),
+            ResilienceConfig(), max_batch=max_batch,
+        )
+
+    def test_respects_arrivals(self):
+        result = self._serve(max_batch=16)
+        assert len(result.completions) == self.WORKLOAD.n_requests
+        for c in result.completions:
+            if not c.coalesced:
+                assert c.start_ns >= c.arrival_ns
+            assert c.done_ns >= c.start_ns
+        assert result.sim_ns > 0
+        assert result.status_counts() == {OK: self.WORKLOAD.n_requests}
+
+    def test_deterministic(self):
+        runs = [self._serve() for _ in range(2)]
+        lat = [[c.latency_ns for c in r.completions] for r in runs]
+        assert lat[0] == lat[1]
+        assert runs[0].end_ns == runs[1].end_ns
+
+    def test_max_batch_validated(self):
+        stack = plain_stack([])
+        with pytest.raises(ValueError):
+            resilient_replay(
+                stack, [], scheduler_for(stack), ResilienceConfig(),
+                max_batch=0,
+            )
 
 
 # ---------------------------------------------------------------- deadlines
@@ -390,37 +435,6 @@ fifo_rcfgs = st.builds(
     journal_limit=st.sampled_from([1, 8]),
     repair_ns=st.just(20_000.0),
 )
-
-
-def check_per_key_fifo(requests, completions, initial):
-    """Every served answer equals the serial-replay answer.
-
-    Replays the *served* operations (``TIMED_OUT``/``SHED``/``FAILED``
-    have no store effect) in arrival order against a dict reference;
-    every ok get must return exactly the reference value, no matter how
-    the loop crossed in and out of degraded mode.
-    """
-    reqs = {r.rid: r for r in requests}
-    assert len(completions) == len(requests)
-    assert {c.rid for c in completions} == set(reqs)
-    store = dict(initial)
-    for c in sorted(completions, key=lambda c: (c.arrival_ns, c.rid)):
-        assert c.status in STATUSES
-        if c.status != OK:
-            assert c.accesses == 0
-            continue
-        req = reqs[c.rid]
-        if req.op == PUT:
-            store[req.key] = req.value
-        elif req.op == DELETE:
-            store.pop(req.key, None)
-        else:
-            expected = store.get(req.key)
-            assert c.value == expected, (
-                f"rid {c.rid} read {c.value!r}, serial replay says "
-                f"{expected!r} (degraded={c.degraded})"
-            )
-            assert c.ok == (expected is not None)
 
 
 class TestPerKeyFifoUnderChaos:

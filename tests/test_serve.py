@@ -8,7 +8,11 @@ import os
 
 import numpy as np
 import pytest
+from conftest import check_per_key_fifo
 
+from repro.core.sharding.fleet import FleetConfig, shard_requests
+from repro.faults.plan import FaultPlan
+from repro.oram.recovery import RobustnessConfig
 from repro.serve import (
     DELETE,
     GET,
@@ -16,7 +20,9 @@ from repro.serve import (
     BatchScheduler,
     KVServer,
     Request,
+    ResilienceConfig,
     build_stack,
+    serve_cell,
 )
 from repro.serve.bench import dedup_check, run_serve, smoke_config
 from repro.serve.loadgen import (
@@ -27,7 +33,6 @@ from repro.serve.loadgen import (
     value_for,
     with_seed,
 )
-from repro.serve.replay import replay
 from repro.serve.schema import (
     deterministic_bytes,
     deterministic_view,
@@ -311,44 +316,83 @@ class TestLoadgen:
             WorkloadConfig(name="w", read_fraction=0.9, delete_fraction=0.2)
 
 
-# ------------------------------------------------------------------ replay
+# ------------------------------------------------ serve_cell reference model
 
-class TestReplay:
-    def _workload(self, n=120):
-        return WorkloadConfig(name="w", n_requests=n, stored_keys=30,
-                              n_keys=1000, rate_rps=2e6, value_bytes=60)
+#: One seeded op stream over a small key universe: repeated keys,
+#: overwrites and deletes, bursty enough that batches carry same-key
+#: conflicts for the scheduler to order.
+MODEL_WORKLOAD = WorkloadConfig(
+    name="model", n_requests=150, n_keys=40, stored_keys=24,
+    arrival="bursty", rate_rps=2e6, zipf_s=1.1, read_fraction=0.6,
+    delete_fraction=0.1, value_bytes=40, seed=11, expect_dedup=False,
+)
+MODEL_STACK = {"levels": 8, "seed": 3, "observer": False}
+SEALED = RobustnessConfig(integrity=True, retry_budget=6)
 
-    def test_replay_respects_arrivals(self):
-        cfg = self._workload()
-        stack = small_stack()
-        stack.kv.preload(initial_items(cfg))
-        sched = BatchScheduler(stack.kv, policy="batch",
-                               clock=lambda: stack.dram_sink.now)
-        result = replay(stack, generate_requests(cfg), sched, max_batch=16)
-        assert len(result.completions) == cfg.n_requests
-        for c in result.completions:
-            if not c.coalesced:
-                assert c.start_ns >= c.arrival_ns
-            assert c.done_ns >= c.start_ns
-        assert result.sim_ns > 0
 
-    def test_replay_deterministic(self):
-        cfg = self._workload()
-        lat = []
-        for _ in range(2):
-            stack = small_stack()
-            stack.kv.preload(initial_items(cfg))
-            sched = BatchScheduler(stack.kv, policy="batch",
-                                   clock=lambda: stack.dram_sink.now)
-            result = replay(stack, generate_requests(cfg), sched)
-            lat.append([c.latency_ns for c in result.completions])
-        assert lat[0] == lat[1]
+def _served_mode(mode):
+    """Serve the model stream in one mode; (requests, completions)."""
+    wl = MODEL_WORKLOAD
+    whole = (initial_items(wl), generate_requests(wl))
+    if mode == "shards":
+        cfg = FleetConfig(workload=wl, levels=8, num_shards=3, seed=3)
+        cells = [
+            serve_cell(MODEL_STACK, shard_requests(cfg, k), shard=k)
+            for k in range(cfg.num_shards)
+        ]
+        assert all(cell.requests for cell in cells)
+        return (
+            [r for cell in cells for r in cell.requests],
+            [c for cell in cells for c in cell.completions],
+        )
+    if mode in ("batch", "fifo"):
+        cell = serve_cell(MODEL_STACK, whole, policy=mode)
+    elif mode == "transient":
+        cell = serve_cell(
+            dict(MODEL_STACK, robustness=SEALED, fault_plan=FaultPlan(
+                seed=101, rates={"unavailable": 0.03}, max_outage_ops=2,
+            )),
+            whole,
+            ResilienceConfig(deadline_ns=150_000.0, queue_limit=32),
+        )
+        assert cell.stack.faulty.summary()["injected"]["unavailable"] > 0
+    else:
+        assert mode == "tamper"
+        cell = serve_cell(
+            dict(MODEL_STACK, robustness=SEALED, fault_plan=FaultPlan(
+                seed=9, rates={"bit_flip": 0.02},
+            )),
+            whole,
+            ResilienceConfig(
+                deadline_ns=4_000_000.0, queue_limit=128, retry_budget=8,
+                backoff_base_ns=5_000.0, journal_limit=96,
+                repair_ns=30_000.0,
+            ),
+        )
+        if not cell.stack.kv.oram.robust.payload_resets:
+            pytest.fail("no block was lost to corruption: nothing pinned")
+    return cell.requests, cell.completions
 
-    def test_max_batch_validated(self):
-        stack = small_stack()
-        sched = BatchScheduler(stack.kv)
-        with pytest.raises(ValueError):
-            replay(stack, [], sched, max_batch=0)
+
+class TestServeCellReferenceModel:
+    """Every serving mode answers like a plain dict replayed in order."""
+
+    @pytest.mark.parametrize("mode", [
+        "batch",
+        "fifo",
+        "transient",
+        "shards",
+        pytest.param("tamper", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="a block lost to corruption is zero-filled "
+                   "(payload_resets) and a later get answers ok with b''",
+        )),
+    ])
+    def test_served_answers_match_dict_model(self, mode):
+        requests, completions = _served_mode(mode)
+        check_per_key_fifo(
+            requests, completions, dict(initial_items(MODEL_WORKLOAD)),
+        )
 
 
 # ----------------------------------------------------------------- preload
@@ -428,14 +472,12 @@ class TestTracing:
     def _completions(self):
         cfg = WorkloadConfig(name="w", n_requests=60, stored_keys=20,
                              n_keys=500, rate_rps=3e6)
-        from repro.telemetry import Telemetry
-        telemetry = Telemetry()
-        stack = build_stack(levels=8, telemetry=telemetry, observer=False)
-        stack.kv.preload(initial_items(cfg))
-        sched = BatchScheduler(stack.kv, policy="batch",
-                               clock=lambda: stack.dram_sink.now)
-        result = replay(stack, generate_requests(cfg), sched)
-        return result.completions, telemetry.spans
+        cell = serve_cell(
+            {"levels": 8, "seed": 0, "observer": False},
+            (initial_items(cfg), generate_requests(cfg)),
+            trace_meta={},
+        )
+        return cell.completions, cell.telemetry.spans
 
     def test_lanes_never_overlap(self):
         comps, _ = self._completions()

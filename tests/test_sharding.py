@@ -1,6 +1,6 @@
 """Tests for the sharded fleet: partition map, routing, control plane.
 
-Three contracts carry the sharding subsystem's correctness story:
+Two contracts carry the sharding subsystem's correctness story:
 
 1. **The partition map is a keyed PRF** (hypothesis): deterministic
    across instances, always in range, dense local ids, and balanced
@@ -9,10 +9,10 @@ Three contracts carry the sharding subsystem's correctness story:
    merged per-shard blocks are byte-identical to running each shard
    alone as a serial reference, and byte-identical at any ``--workers``
    width. The same holds for the partitioned trace simulator.
-3. **Per-key FIFO survives routing** (hypothesis): against a
-   plain-dict reference model replaying operations in arrival order,
-   every get through the cross-shard router returns the reference
-   value no matter how the window is cut.
+
+Per-key FIFO across shard routing is checked against the plain-dict
+reference model in ``tests/test_serve.py`` (the ``shards`` mode of
+``TestServeCellReferenceModel``).
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from repro.core.sharding.control import (
 from repro.core.sharding.fleet import (
     FleetConfig,
     KillShardDrill,
-    _fleet_shard_task,
-    build_sharded_stack,
     run_fleet,
     shard_requests,
 )
@@ -53,8 +51,10 @@ from repro.core.sharding.sharded import (
     split_trace,
 )
 from repro.faults.plan import FaultPlan
-from repro.serve import DELETE, GET, PUT, Request
-from repro.serve.loadgen import WorkloadConfig
+from repro.serve.cell import percentiles, serve_cell
+from repro.serve.chaos import ChaosCell, run_chaos, smoke_config
+from repro.serve.loadgen import WorkloadConfig, generate_requests
+from repro.serve.request import OK
 from repro.serve.resilience import ResilienceConfig
 from repro.sim.runner import make_trace
 
@@ -302,31 +302,75 @@ def tiny_fleet(**overrides):
 
 class TestFleetVsSerial:
     def test_fleet_equals_independent_serial_shards(self):
-        # The headline identity: the merged fleet blocks are
-        # byte-identical to each shard run alone as a serial reference.
+        # The headline identity: every merged fleet block equals its
+        # shard served alone, in-process, as a serial reference.
         cfg = tiny_fleet()
         doc = run_fleet(cfg)
         assert doc["num_shards"] == 3
-        worker_cfg = replace(cfg, progress=None, workers=1)
         for shard in range(cfg.num_shards):
-            ref = _fleet_shard_task((worker_cfg, shard))
-            assert canon(doc["shards"][shard]) == canon(ref["cell"])
+            items, reqs = shard_requests(cfg, shard)
+            ref = serve_cell(
+                {"scheme": cfg.scheme, "levels": cfg.levels,
+                 "seed": cfg.seed},
+                (items, reqs), shard=shard,
+                policy=cfg.policy, max_batch=cfg.max_batch,
+            )
+            stats = ref.scheduler.stats()
+            comps = ref.completions
+            sim = {
+                "requests": len(reqs),
+                "completions": len(comps),
+                "status": {
+                    s: sum(c.status == s for c in comps)
+                    for s in doc["shards"][shard]["sim"]["status"]
+                },
+                "availability": 1.0,
+                "accesses_issued": stats["accesses_issued"],
+                "dedup_hits": stats["dedup_hits"],
+                "coalesced_puts": stats["coalesced_puts"],
+                "absent_gets": stats["absent_gets"],
+                "sim_ns": ref.result.sim_ns,
+                "latency_ns": percentiles(
+                    [c.latency_ns for c in comps if c.status == OK]
+                ),
+            }
+            assert canon(doc["shards"][shard]) == canon({
+                "shard": shard, "drill": False,
+                "stored_keys": len(items), "sim": sim,
+            })
+
+    def test_empty_shard_is_available_in_fleet_and_chaos(self):
+        # Two requests over four shards leave at least one shard with
+        # nothing to serve. It failed nothing, so both sharded paths
+        # must report it fully available.
+        wl = replace(tiny_workload(), n_requests=2)
+        fleet = run_fleet(tiny_fleet(workload=wl, num_shards=4, seed=0))
+        chaos = run_chaos(smoke_config(
+            levels=8, num_shards=4,
+            cells=(ChaosCell(name="tiny", workload=wl, faults=None,
+                             resilience=ResilienceConfig()),),
+        ))
+        fleet_sims = [s["sim"] for s in fleet["shards"]]
+        chaos_sims = chaos["cells"][0]["sim"]["shards"]
+        empty = [k for k, s in enumerate(fleet_sims) if s["requests"] == 0]
+        assert empty
+        for k in empty:
+            assert chaos_sims[k]["requests"] == 0
+            assert fleet_sims[k]["availability"] == 1.0
+            assert chaos_sims[k]["availability"] == 1.0
 
     def test_shard_requests_cover_the_workload(self):
         cfg = tiny_fleet()
         wl = cfg.workload
+        pmap = PartitionMap(cfg.num_shards, seed=cfg.seed)
         total_items = total_reqs = 0
         for shard in range(cfg.num_shards):
             items, reqs = shard_requests(cfg, shard)
             total_items += len(items)
             total_reqs += len(reqs)
             # Routing agrees with the fleet's partition map.
-            pmap = PartitionMap(cfg.num_shards, seed=cfg.seed)
             assert all(
                 pmap.shard_of_bytes(k) == shard for k, _ in items
-            )
-            assert all(
-                pmap.shard_of_bytes(r.key) == shard for r in reqs
             )
         assert total_items == wl.stored_keys
         assert total_reqs == wl.n_requests
@@ -355,6 +399,25 @@ class TestFleetVsSerial:
         )
         with pytest.raises(ValueError):
             run_fleet(tiny_fleet(drill=drill))
+
+
+class TestRouterPerKeyFifo:
+    def test_route_is_a_stable_partition(self):
+        # Shard routing splits the workload into disjoint per-shard
+        # slices, each in arrival order: a key's requests keep their
+        # relative order on the one shard that owns the key.
+        cfg = tiny_fleet(workload=tiny_workload(stored_keys=9))
+        pmap = PartitionMap(cfg.num_shards, seed=cfg.seed)
+        everything = generate_requests(cfg.workload)
+        slices = [
+            shard_requests(cfg, shard)[1] for shard in range(cfg.num_shards)
+        ]
+        assert sum(len(s) for s in slices) == len(everything)
+        for shard, reqs in enumerate(slices):
+            assert [r.rid for r in reqs] == [
+                r.rid for r in everything
+                if pmap.shard_of_bytes(r.key) == shard
+            ]
 
 
 class TestKillShardDrill:
@@ -390,83 +453,6 @@ class TestKillShardDrill:
         states = {t["to"] for t in shard0["transitions"]}
         assert DEGRADED in states
         assert doc["control"]["all_healthy"] is True
-
-
-# --------------------------------------------------- cross-shard FIFO
-
-FIFO_KEYS = [b"k%d" % i for i in range(6)]
-
-fifo_ops = st.one_of(
-    st.tuples(st.just(GET), st.sampled_from(FIFO_KEYS), st.none()),
-    st.tuples(st.just(PUT), st.sampled_from(FIFO_KEYS),
-              st.binary(min_size=1, max_size=60)),
-    st.tuples(st.just(DELETE), st.sampled_from(FIFO_KEYS), st.none()),
-)
-
-
-class TestRouterPerKeyFifo:
-    @given(
-        raw=st.lists(fifo_ops, min_size=1, max_size=14),
-        cuts=st.lists(st.integers(1, 5), max_size=4),
-    )
-    @settings(**settings_kw)
-    def test_matches_dict_reference_model(self, raw, cuts):
-        reqs = [
-            Request(rid=i, op=op, key=key, value=value, arrival_ns=float(i))
-            for i, (op, key, value) in enumerate(raw)
-        ]
-        stack = build_sharded_stack(
-            levels=8, num_shards=3, seed=0, observer=False
-        )
-        stack.preload([(FIFO_KEYS[0], b"seed0"), (FIFO_KEYS[1], b"seed1")])
-        router = stack.router(policy="batch", seed=3)
-        model = {FIFO_KEYS[0]: b"seed0", FIFO_KEYS[1]: b"seed1"}
-
-        windows, i = [], 0
-        for cut in cuts:
-            if i >= len(reqs):
-                break
-            windows.append(reqs[i:i + cut])
-            i += cut
-        if i < len(reqs):
-            windows.append(reqs[i:])
-
-        for window in windows:
-            comps = {c.rid: c for c in router.serve_window(window)}
-            assert set(comps) == {r.rid for r in window}
-            for req in window:
-                comp = comps[req.rid]
-                if req.op == GET:
-                    expect = model.get(req.key)
-                    assert comp.value == expect, (req, comp)
-                    assert comp.ok is (expect is not None)
-                elif req.op == PUT:
-                    model[req.key] = req.value
-                    assert comp.ok
-                else:
-                    existed = req.key in model
-                    model.pop(req.key, None)
-                    assert comp.ok is existed
-        for key in FIFO_KEYS:
-            shard = stack.shard_of(key)
-            assert stack.stacks[shard].kv.get(key) == model.get(key)
-
-    def test_route_is_a_stable_partition(self):
-        stack = build_sharded_stack(
-            levels=8, num_shards=3, seed=0, observer=False
-        )
-        router = stack.router()
-        window = [
-            Request(rid=i, op=GET, key=b"q%d" % (i % 9), value=None,
-                    arrival_ns=float(i))
-            for i in range(30)
-        ]
-        batches = router.route(window)
-        assert sum(len(b) for b in batches) == len(window)
-        for shard, batch in enumerate(batches):
-            assert [r.rid for r in batch] == [
-                r.rid for r in window if stack.shard_of(r.key) == shard
-            ]
 
 
 # -------------------------------------------------------- control plane
