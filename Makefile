@@ -49,15 +49,30 @@ lint:
 	  $(PYTHON) tools/lint.py src tests benchmarks examples tools; \
 	fi
 
-# CI smoke: seconds-scale perf matrix (two workers: also exercises the
-# parallel executor) + soft-gated comparison against the committed
-# baseline. Scratch reports live under generated/ (gitignored).
+# Every smoke target below is the one definition of its gate: CI's
+# smoke job runs `make <target>` and uploads generated/ (gitignored
+# scratch, where every report lands).
+#
+# Perf smoke: the seconds-scale perf matrix, serial and over two
+# workers. Hard gates: the two reports' deterministic views (every
+# cell's sim block, pipelined @pN and sharded @sN cells included) must
+# be byte-identical, and equal to the committed baseline's. Then a
+# warn-only compare of the serial run's wall-clock throughput (too noisy
+# on shared runners to hard-gate; the two-worker run's cells contend
+# for cores, so its wall times are not comparable to the baseline).
 perf-smoke:
+	$(PYTHON) -m repro perf run --smoke \
+	  --out generated/BENCH_perf_serial.json
 	$(PYTHON) -m repro perf run --smoke --workers 2 \
 	  --out generated/BENCH_perf_new.json
+	$(PYTHON) tools/report_determinism.py \
+	  generated/BENCH_perf_serial.json generated/BENCH_perf_new.json
+	$(PYTHON) tools/report_determinism.py \
+	  benchmarks/baselines/BENCH_perf_smoke.json \
+	  generated/BENCH_perf_new.json
 	$(PYTHON) -m repro perf compare \
 	  benchmarks/baselines/BENCH_perf_smoke.json \
-	  generated/BENCH_perf_new.json --warn-only
+	  generated/BENCH_perf_serial.json --warn-only
 
 # CI pipeline smoke: the transaction-pipelined controller's three
 # gates, all hard failures. (1) the smoke matrix's ns/mcf@p4 cell must
@@ -88,38 +103,49 @@ pipeline-smoke:
 	  --pipeline-depth 4
 
 # CI robustness smoke: fault-injection campaign; fails unless every
-# tampering fault (bit flip, replay) was detected, and unless the
-# report's deterministic view (all but the environment block) is
-# byte-identical to the committed baseline -- a hard gate on the
-# seal/open/fault sequence.
+# tampering fault (bit flip, replay) was detected, unless a rerun over
+# two workers reproduces the report file byte for byte (it carries no
+# wall-clock fields), and unless the report's deterministic view (all
+# but the environment block) is byte-identical to the committed
+# baseline -- a hard gate on the seal/open/fault sequence.
 faults-smoke:
 	$(PYTHON) -m repro faults run --smoke \
 	  --out generated/BENCH_faults.json --require-detection
+	$(PYTHON) -m repro faults run --smoke --workers 2 \
+	  --out generated/BENCH_faults_par.json
+	cmp generated/BENCH_faults.json generated/BENCH_faults_par.json
 	$(PYTHON) tools/report_determinism.py \
 	  benchmarks/baselines/BENCH_faults_smoke.json \
 	  generated/BENCH_faults.json
 
 # CI telemetry smoke: trace an L12 AB cell, validate the Chrome trace
-# against the schema checker, and bound the telemetry overhead.
+# against the schema checker, require the golden cells to hold
+# bit-for-bit with tracing attached (telemetry observes, never steers),
+# and bound the telemetry overhead.
 telemetry-smoke:
 	$(PYTHON) -m repro simulate --scheme ab --levels 12 --requests 600 \
 	  --warmup 0 --trace-out generated/BENCH_trace.json
 	$(PYTHON) tools/check_trace.py generated/BENCH_trace.json \
 	  --require-kinds readPath evictPath earlyReshuffle
+	$(PYTEST) tests/test_reshuffle_golden.py -x -q
 	$(PYTHON) tools/telemetry_overhead.py --max-overhead-pct 10
 
 # CI serving smoke: open-loop workloads through the batching scheduler;
 # fails unless batch scheduling beats naive FIFO on oblivious accesses,
-# and unless the report's deterministic view is byte-identical to the
-# committed baseline. Also writes a per-request Perfetto trace and
-# validates it, then soft-compares the wall-clock fields against the
-# baseline.
+# unless a rerun over two workers reproduces the deterministic report
+# view, and unless that view is byte-identical to the committed
+# baseline. Also writes a per-request Perfetto trace and validates it,
+# then soft-compares the wall-clock fields against the baseline.
 serve-smoke:
 	$(PYTHON) -m repro serve bench --smoke \
 	  --out generated/BENCH_serve.json \
 	  --trace-out generated/trace_serve.json --require-dedup-win
 	$(PYTHON) tools/check_trace.py generated/trace_serve.json \
 	  --require-kinds readPath evictPath queue get --min-spans 500
+	$(PYTHON) -m repro serve bench --smoke --workers 2 \
+	  --out generated/BENCH_serve_par.json
+	$(PYTHON) tools/report_determinism.py \
+	  generated/BENCH_serve.json generated/BENCH_serve_par.json
 	$(PYTHON) tools/report_determinism.py \
 	  benchmarks/baselines/BENCH_serve_smoke.json \
 	  generated/BENCH_serve.json
@@ -183,7 +209,8 @@ shard-smoke:
 # view AND the trace file byte-for-byte; the report's deterministic
 # view must equal the committed baseline; the recorded ops stream must
 # replay through `serve top`; and the observability plane must cost
-# <= 10% wall time on the serving loop.
+# <= 10% wall time on the serving loop (best of 7 runs: best of 3 read
+# +13% to +27% for unchanged code on a shared 2-vCPU host).
 obs-smoke:
 	$(PYTHON) -m repro serve chaos --smoke --shards 4 \
 	  --out generated/BENCH_chaos_fleet.json \
@@ -205,7 +232,8 @@ obs-smoke:
 	  generated/BENCH_chaos_fleet.json
 	$(PYTHON) -m repro serve top --replay generated/ops_fleet.jsonl \
 	  --frames 3 --no-clear
-	$(PYTHON) tools/telemetry_overhead.py --serve --max-overhead-pct 10
+	$(PYTHON) tools/telemetry_overhead.py --serve --max-overhead-pct 10 \
+	  --repeats 7
 
 # Mirror of the CI pipeline: lint, tier-1 tests, perf/pipeline/faults/
 # telemetry/serve/chaos/shard/observability smoke.

@@ -18,16 +18,15 @@ in the scheduled workflow, not here.
 import json
 
 from _common import GENERATED_DIR, emit, once
+from repro.reports import deterministic_bytes, render_report, validate_report
 from repro.serve.chaos import chaos_check, run_chaos, smoke_config
-from repro.serve.report import render_chaos_report
-from repro.serve.schema import deterministic_bytes, validate_chaos_report
 
 
 def test_chaos_smoke_campaign(benchmark):
     doc = once(benchmark, lambda: run_chaos(smoke_config()))
 
-    assert validate_chaos_report(doc) == []
-    emit("chaos_smoke", render_chaos_report(doc))
+    assert validate_report(doc) == []
+    emit("chaos_smoke", render_report(doc))
     GENERATED_DIR.mkdir(exist_ok=True)
     out = GENERATED_DIR / "BENCH_chaos.json"
     with open(out, "w") as f:

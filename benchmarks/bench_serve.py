@@ -19,9 +19,8 @@ bench`` in the scheduled workflow, not here.
 import json
 
 from _common import GENERATED_DIR, emit, once
+from repro.reports import deterministic_bytes, render_report, validate_report
 from repro.serve.bench import dedup_check, run_serve, smoke_config
-from repro.serve.report import render_report
-from repro.serve.schema import deterministic_bytes, validate_report
 
 #: Smoke-scale bound on |success - 1/L| for the guessing attacker.
 ADVANTAGE_TOL = 0.05

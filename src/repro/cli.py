@@ -43,9 +43,10 @@ Commands:
   (:mod:`repro.core.sharding`) and emits generated/BENCH_scaling.json
   -- the capacity curve: fleet throughput, per-shard memory, the
   kill-a-shard drill and the control-plane health summary, with
-  ``--require-speedup`` as its CI gate; ``serve compare`` diffs two
-  reports of any serve kind; ``serve demo`` runs the threaded KV
-  server front-end against live client threads.
+  ``--require-speedup`` as its CI gate; ``serve compare`` (the same
+  command as ``perf compare``) diffs two reports of any one kind with
+  that kind's gates (:mod:`repro.reports`); ``serve demo`` runs the
+  threaded KV server front-end against live client threads.
 
 ``sweep``, ``perf run``, ``faults run``, ``serve bench``, ``serve
 chaos``, ``serve scaling`` and ``simulate --shards`` all accept
@@ -117,6 +118,29 @@ def _ensure_out_dir(path: str) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+
+
+def _write_report(doc: dict, out: str) -> int:
+    """Self-check a harness report, then write and render it.
+
+    Returns 2 (writing nothing) when the report fails validation, else 0.
+    """
+    import json
+
+    from repro.reports import render_report, validate_report
+
+    errors = validate_report(doc)
+    if errors:
+        for e in errors:
+            print(f"error: report self-check failed: {e}", file=sys.stderr)
+        return 2
+    _ensure_out_dir(out)
+    with open(out, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(render_report(doc))
+    print(f"\nwrote {out}")
+    return 0
 
 
 def _make_trace(suite: str, bench: str, n_blocks: int, requests: int,
@@ -398,8 +422,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_perf_run(args: argparse.Namespace) -> int:
     from repro.perf import run_perf, smoke_config, full_config
-    from repro.perf.report import render_report
-    import json
 
     factory = smoke_config if args.smoke else full_config
     overrides = {}
@@ -419,14 +441,7 @@ def cmd_perf_run(args: argparse.Namespace) -> int:
         overrides["repeats"] = args.repeats
     cfg = factory(progress=stderr_progress, workers=args.workers,
                   telemetry=args.telemetry, **overrides)
-    doc = run_perf(cfg)
-    _ensure_out_dir(args.out)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(render_report(doc))
-    print(f"\nwrote {args.out}")
-    return 0
+    return _write_report(run_perf(cfg), args.out)
 
 
 def cmd_perf_profile(args: argparse.Namespace) -> int:
@@ -467,8 +482,9 @@ def cmd_perf_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf_compare(args: argparse.Namespace) -> int:
-    from repro.perf.compare import EXIT_OK, compare_files
+def cmd_compare(args: argparse.Namespace) -> int:
+    """``perf compare`` / ``serve compare``: diff two reports of one kind."""
+    from repro.reports import EXIT_OK, compare_files
 
     code, messages = compare_files(args.baseline, args.new,
                                    threshold_pct=args.threshold)
@@ -487,9 +503,6 @@ _TAMPER_KINDS = ("bit_flip", "replay")
 
 def cmd_faults_run(args: argparse.Namespace) -> int:
     from repro.faults.campaign import full_config, run_campaign, smoke_config
-    from repro.faults.report import render_report
-    from repro.faults.schema import validate_report
-    import json
 
     factory = smoke_config if args.smoke else full_config
     overrides = {}
@@ -516,18 +529,11 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = run_campaign(cfg)
-    errors = validate_report(doc)
-    if errors:
-        for e in errors:
-            print(f"error: report self-check failed: {e}", file=sys.stderr)
+    if _write_report(doc, args.out):
         return 2
-    _ensure_out_dir(args.out)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(render_report(doc))
-    print(f"\nwrote {args.out}")
     if args.require_detection:
+        from repro.reports import FAULTS
+
         bad = []
         for cell in doc["cells"]:
             if cell["fault"] not in _TAMPER_KINDS:
@@ -535,11 +541,11 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
             if "error" in cell:
                 # An errored tampering cell means detection went
                 # unverified; that is a gap, not a pass.
-                bad.append(f"{cell['fault']}@{cell['rate']:g}: cell errored")
+                bad.append(f"{FAULTS.key(cell)}: cell errored")
                 continue
             if cell["undetected"] or cell["detected"] != cell["injected"]:
                 bad.append(
-                    f"{cell['fault']}@{cell['rate']:g}: "
+                    f"{FAULTS.key(cell)}: "
                     f"injected={cell['injected']} "
                     f"detected={cell['detected']} "
                     f"undetected={cell['undetected']}"
@@ -556,9 +562,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serve.bench import (
         dedup_check, full_config, run_serve, smoke_config,
     )
-    from repro.serve.report import render_report
-    from repro.serve.schema import validate_report
-    import json
 
     factory = smoke_config if args.smoke else full_config
     overrides = {}
@@ -575,17 +578,8 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     cfg = factory(progress=stderr_progress, workers=args.workers,
                   **overrides)
     doc = run_serve(cfg)
-    errors = validate_report(doc)
-    if errors:
-        for e in errors:
-            print(f"error: report self-check failed: {e}", file=sys.stderr)
+    if _write_report(doc, args.out):
         return 2
-    _ensure_out_dir(args.out)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(render_report(doc))
-    print(f"\nwrote {args.out}")
     if args.trace_out:
         print(f"wrote {args.trace_out}")
     if args.require_dedup_win:
@@ -598,26 +592,10 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_compare(args: argparse.Namespace) -> int:
-    from repro.serve.compare import EXIT_OK, compare_files
-
-    code, messages = compare_files(args.baseline, args.new,
-                                   threshold_pct=args.threshold)
-    for msg in messages:
-        print(msg)
-    if args.warn_only and code != EXIT_OK:
-        print(f"(warn-only: suppressing exit code {code})")
-        return EXIT_OK
-    return code
-
-
 def cmd_serve_chaos(args: argparse.Namespace) -> int:
     from repro.serve.chaos import (
         chaos_check, full_config, run_chaos, smoke_config,
     )
-    from repro.serve.report import render_chaos_report
-    from repro.serve.schema import validate_chaos_report
-    import json
 
     factory = smoke_config if args.smoke else full_config
     overrides = {}
@@ -644,17 +622,8 @@ def cmd_serve_chaos(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     doc = run_chaos(cfg)
-    errors = validate_chaos_report(doc)
-    if errors:
-        for e in errors:
-            print(f"error: report self-check failed: {e}", file=sys.stderr)
+    if _write_report(doc, args.out):
         return 2
-    _ensure_out_dir(args.out)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(render_chaos_report(doc))
-    print(f"\nwrote {args.out}")
     if args.trace_out:
         print(f"wrote {args.trace_out}")
     if args.slo_out:
@@ -698,12 +667,9 @@ def cmd_serve_top(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_scaling(args: argparse.Namespace) -> int:
-    from repro.serve.report import render_scaling_report
     from repro.serve.scaling import (
         full_config, run_scaling, scaling_check, smoke_config,
     )
-    from repro.serve.schema import validate_scaling_report
-    import json
 
     factory = smoke_config if args.smoke else full_config
     overrides = {}
@@ -716,17 +682,8 @@ def cmd_serve_scaling(args: argparse.Namespace) -> int:
     cfg = factory(progress=stderr_progress, workers=args.workers,
                   **overrides)
     doc = run_scaling(cfg)
-    errors = validate_scaling_report(doc)
-    if errors:
-        for e in errors:
-            print(f"error: report self-check failed: {e}", file=sys.stderr)
+    if _write_report(doc, args.out):
         return 2
-    _ensure_out_dir(args.out)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(render_scaling_report(doc))
-    print(f"\nwrote {args.out}")
     if args.require_speedup is not None:
         problems = scaling_check(doc, min_speedup=args.require_speedup)
         if problems:
@@ -977,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="max tolerated throughput drop, percent")
     pc.add_argument("--warn-only", action="store_true",
                     help="report regressions but exit 0 (CI soft gate)")
-    pc.set_defaults(func=cmd_perf_compare)
+    pc.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("faults", help="fault-injection campaign harness")
     faults_sub = p.add_subparsers(dest="faults_command", required=True)
@@ -1149,7 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "availability and tamper detection)")
     sc.add_argument("--warn-only", action="store_true",
                     help="report regressions but exit 0 (CI soft gate)")
-    sc.set_defaults(func=cmd_serve_compare)
+    sc.set_defaults(func=cmd_compare)
 
     sd = serve_sub.add_parser("demo", help="threaded KV server demo with "
                                            "live client threads")

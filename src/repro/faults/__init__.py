@@ -13,18 +13,16 @@ the way :mod:`repro.perf` made its speed measurable:
   outages, and attributes each detection to its injected fault.
 - :mod:`repro.faults.campaign` -- the fault type x rate sweep behind
   ``python -m repro faults run``, producing ``BENCH_faults.json``.
-- :mod:`repro.faults.schema` / :mod:`repro.faults.report` -- the report
-  format (validation without third-party libraries) and its rendering.
+
+The report format (kind ``repro-faults-report``), its validation and
+its rendering live in :mod:`repro.reports` with the other report kinds.
 """
 
 from repro.faults.memory import FaultyMemory
 from repro.faults.plan import FAULT_KINDS, FaultPlan
-from repro.faults.schema import SCHEMA_VERSION, validate_report
 
 __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultyMemory",
-    "SCHEMA_VERSION",
-    "validate_report",
 ]

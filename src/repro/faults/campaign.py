@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core import schemes as schemes_mod
 from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.parallel.executor import Cell, report_progress, run_cells, worker_registry
-from repro.faults.schema import REPORT_KIND, SCHEMA_VERSION
+from repro.reports import FAULTS
 from repro.telemetry.metrics import merge_snapshots
 from repro.oram.recovery import RobustnessConfig
 from repro.oram.validate import diagnose_robustness
@@ -271,8 +271,8 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> Dict[str, Any]:
                 "error": res.error,
             })
     doc: Dict[str, Any] = {
-        "kind": REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
+        "kind": FAULTS.kind,
+        "schema_version": FAULTS.schema_version,
         "config": cfg.to_dict(),
         "environment": _environment(),
         "doctor": [str(fd) for fd in doctor],

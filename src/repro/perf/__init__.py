@@ -6,11 +6,12 @@ fixed, seed-pinned matrix of (scheme x trace) cells is replayed through
 throughput (accesses/sec) and deterministic simulation metrics are
 written to a machine-readable JSON report (``BENCH_perf.json``).
 
-- :mod:`repro.perf.schema` defines and validates the report format;
 - :mod:`repro.perf.runner` runs the matrix (full or ``--smoke``);
-- :mod:`repro.perf.compare` diffs two reports and fails on throughput
-  regressions beyond a threshold (the CI gate);
-- :mod:`repro.perf.report` renders reports for humans.
+- :mod:`repro.perf.profile` profiles one cell;
+- :mod:`repro.reports` declares the report format (kind
+  ``repro-perf-report``), validates and renders it, and diffs two
+  reports, failing on throughput regressions beyond a threshold (the
+  CI gate).
 
 Simulation metrics (``cells[*].sim``) are bit-deterministic for a given
 (code version, config, seed); wall-clock metrics (``wall_s``,
@@ -18,18 +19,13 @@ Simulation metrics (``cells[*].sim``) are bit-deterministic for a given
 only throughput as a gate and the ``sim`` block as an identity check.
 """
 
-from repro.perf.compare import compare_reports
 from repro.perf.profile import profile_cell
 from repro.perf.runner import PerfConfig, full_config, run_perf, smoke_config
-from repro.perf.schema import SCHEMA_VERSION, validate_report
 
 __all__ = [
     "PerfConfig",
-    "SCHEMA_VERSION",
-    "compare_reports",
     "full_config",
     "profile_cell",
     "run_perf",
     "smoke_config",
-    "validate_report",
 ]

@@ -32,7 +32,7 @@ SORT_KEYS = ("cumulative", "tottime", "ncalls")
 def parse_cell(spec: str) -> Dict[str, Any]:
     """Parse a ``scheme/trace[@pN]`` cell selector.
 
-    The same key format :func:`repro.perf.schema.cell_key` produces, so
+    The same key format ``repro.reports.PERF.key`` produces, so
     a cell name copied out of a report or a compare line selects that
     cell: ``ns/mcf@p4`` profiles the pipelined ns/mcf cell at depth 4.
     """

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import schemes as schemes_mod
 from repro.parallel.executor import Cell, report_progress, run_cells, worker_registry
-from repro.perf.schema import REPORT_KIND, SCHEMA_VERSION
+from repro.reports import PERF
 from repro.telemetry.metrics import merge_snapshots
 from repro.sim.engine import SimConfig
 from repro.sim.results import SimResult
@@ -323,8 +323,8 @@ def run_perf(cfg: Optional[PerfConfig] = None) -> Dict[str, Any]:
                 err["shards"] = num_shards
             cells.append(err)
     doc: Dict[str, Any] = {
-        "kind": REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
+        "kind": PERF.kind,
+        "schema_version": PERF.schema_version,
         "config": cfg.to_dict(),
         "environment": _environment(),
         "cells": cells,

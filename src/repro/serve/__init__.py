@@ -24,9 +24,8 @@ The serving layer turns the single-caller
 - :mod:`repro.serve.server` -- a thread-pool front-end for wall-clock
   serving: clients submit concurrently, one scheduler thread services
   batches;
-- :mod:`repro.serve.bench` / :mod:`~repro.serve.schema` /
-  :mod:`~repro.serve.compare` / :mod:`~repro.serve.report` -- the
-  ``BENCH_serve.json`` harness (the tail-latency yardstick CI gates);
+- :mod:`repro.serve.bench` -- the ``BENCH_serve.json`` harness (the
+  tail-latency yardstick CI gates);
 - :mod:`repro.serve.tracing` -- per-request Perfetto traces splitting
   queueing vs. ORAM vs. DRAM time;
 - :mod:`repro.serve.chaos` -- the ``BENCH_chaos.json`` campaign: fault
@@ -35,6 +34,9 @@ The serving layer turns the single-caller
   curve: one workload served by 1..16 AB-ORAM shards
   (:mod:`repro.core.sharding`), gated on fleet speedup, drill
   availability, and control-plane health.
+
+The three reports these harnesses write (serve, chaos, scaling) are
+declared, validated, compared and rendered by :mod:`repro.reports`.
 """
 
 from repro.serve.cell import ServedCell, serve_cell

@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.parallel.executor import Cell, report_progress, run_cells
+from repro.reports import SERVE
 from repro.serve.cell import SCHEDULER_COUNTS, percentiles, serve_cell
 from repro.serve.loadgen import WorkloadConfig, generate_requests, initial_items
 from repro.serve.scheduler import POLICIES
-from repro.serve.schema import REPORT_KIND, SCHEMA_VERSION
 from repro.serve.stack import attacker_block
 from repro.serve.tracing import request_trace_doc, write_trace
 
@@ -263,8 +263,8 @@ def run_serve(cfg: Optional[ServeConfig] = None) -> Dict[str, Any]:
                 "error": res.error,
             })
     return {
-        "kind": REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
+        "kind": SERVE.kind,
+        "schema_version": SERVE.schema_version,
         "config": cfg.to_dict(),
         "environment": _environment(),
         "cells": cells,

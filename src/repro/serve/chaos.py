@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.oram.recovery import RobustnessConfig
 from repro.parallel.executor import Cell, derive_seed, report_progress, run_cells
+from repro.reports import CHAOS
 from repro.serve.bench import _environment
 from repro.serve.cell import (
     TAMPER_KINDS, degraded_block, detection_block, episode_block,
@@ -46,7 +47,6 @@ from repro.serve.loadgen import (
 )
 from repro.serve.request import OK, STATUSES
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.schema import CHAOS_REPORT_KIND, SCHEMA_VERSION
 from repro.serve.stack import attacker_block
 from repro.serve.tracing import request_trace_doc, write_trace
 
@@ -454,12 +454,12 @@ def _fold_sharded(
     cells: List[Dict[str, Any]] = []
     slo_stream: List[Dict[str, Any]] = [{
         "type": "meta", "kind": "repro-slo-stream",
-        "schema_version": SCHEMA_VERSION, "seed": cfg.seed,
+        "schema_version": CHAOS.schema_version, "seed": cfg.seed,
         "num_shards": cfg.num_shards, "window_ns": cfg.slo_window_ns,
     }]
     ops_stream: List[Dict[str, Any]] = [{
         "type": "meta", "kind": "repro-ops-stream",
-        "schema_version": SCHEMA_VERSION, "seed": cfg.seed,
+        "schema_version": CHAOS.schema_version, "seed": cfg.seed,
         "num_shards": cfg.num_shards, "window_ns": cfg.slo_window_ns,
     }]
     slo_summaries: Dict[str, Any] = {}
@@ -562,8 +562,8 @@ def run_chaos(cfg: Optional[ChaosConfig] = None) -> Dict[str, Any]:
             for cell, res in zip(cfg.cells, outputs)
         ]
     return {
-        "kind": CHAOS_REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
+        "kind": CHAOS.kind,
+        "schema_version": CHAOS.schema_version,
         "config": cfg.to_dict(),
         "environment": _environment(),
         "cells": cells,

@@ -50,10 +50,10 @@ from repro.core import schemes as schemes_mod
 # ``repro.core.sharding`` is the first package imported.
 from repro.core.sharding.sharded import levels_for_blocks
 from repro.faults.plan import FaultPlan
+from repro.reports import SCALING
 from repro.serve.bench import _environment
 from repro.serve.loadgen import WorkloadConfig
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.schema import SCALING_REPORT_KIND, SCHEMA_VERSION
 
 #: Extra per-shard capacity provisioned over the even split, absorbing
 #: the PRF's occupancy imbalance (a 5% margin covers the multinomial
@@ -304,8 +304,8 @@ def run_scaling(cfg: Optional[ScalingConfig] = None) -> Dict[str, Any]:
                          f"{traceback.format_exc()}",
             })
     return {
-        "kind": SCALING_REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
+        "kind": SCALING.kind,
+        "schema_version": SCALING.schema_version,
         "config": cfg.to_dict(),
         "environment": _environment(),
         "cells": cells,

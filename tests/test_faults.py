@@ -18,9 +18,8 @@ from repro.faults.campaign import (
 )
 from repro.faults.memory import FaultyMemory
 from repro.faults.plan import FAULT_KINDS, FaultPlan
-from repro.faults.report import render_report
-from repro.faults.schema import (
-    cell_key, deterministic_bytes, validate_report,
+from repro.reports import (
+    FAULTS, deterministic_bytes, render_report, validate_report,
 )
 from repro.oram.datastore import EncryptedTreeStore, pad_block
 from repro.oram.recovery import RobustnessConfig, TransientBackendError
@@ -245,7 +244,7 @@ class TestCampaign:
         assert validate_report(smoke_doc) == []
 
     def test_one_cell_per_kind_and_rate(self, smoke_doc):
-        keys = [cell_key(c) for c in smoke_doc["cells"]]
+        keys = [FAULTS.key(c) for c in smoke_doc["cells"]]
         assert keys == [f"{k}@0.01" for k in FAULT_KINDS]
 
     def test_tampering_cells_fully_detected(self, smoke_doc):

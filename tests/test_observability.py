@@ -36,7 +36,7 @@ from repro.serve.chaos import (
 )
 from repro.serve.request import Completion
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.schema import deterministic_bytes, validate_chaos_report
+from repro.reports import deterministic_bytes, validate_report
 from repro.telemetry import (
     MetricsRegistry,
     OpsSampler,
@@ -423,7 +423,7 @@ class TestShardedChaos:
 
     def test_report_validates_and_gates(self, artifacts):
         doc = artifacts["serial"]["doc"]
-        assert validate_chaos_report(doc) == []
+        assert validate_report(doc) == []
         assert chaos_check(doc) == []
 
     def test_report_has_fleet_blocks(self, artifacts):

@@ -6,20 +6,17 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.perf import (
-    SCHEMA_VERSION,
-    compare_reports,
-    run_perf,
-    smoke_config,
-    validate_report,
-)
-from repro.perf.compare import (
+from repro.perf import run_perf, smoke_config
+from repro.reports import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_REGRESSION,
+    PERF,
     compare_files,
+    compare_reports,
+    render_report,
+    validate_report,
 )
-from repro.perf.report import render_report
 from repro.perf.runner import PerfConfig
 
 
@@ -57,7 +54,7 @@ class TestSchema:
 
     def test_rejects_wrong_schema_version(self, tiny_report):
         doc = copy.deepcopy(tiny_report)
-        doc["schema_version"] = SCHEMA_VERSION + 1
+        doc["schema_version"] = PERF.schema_version + 1
         assert any("schema_version" in e for e in validate_report(doc))
 
     def test_rejects_missing_cell_field(self, tiny_report):
@@ -248,6 +245,20 @@ class TestCli:
         ])
         assert code == 0
         assert validate_report(json.loads(out.read_text())) == []
+
+    def test_perf_run_refuses_an_invalid_report(
+            self, tiny_report, tmp_path, monkeypatch, capsys):
+        # The self-check every harness runs before writing: a report
+        # with a non-positive wall time exits 2 and writes nothing.
+        import repro.perf
+
+        bad = copy.deepcopy(tiny_report)
+        bad["cells"][0]["wall_s"] = 0
+        monkeypatch.setattr(repro.perf, "run_perf", lambda cfg: bad)
+        out = tmp_path / "report.json"
+        assert cli_main(["perf", "run", "--smoke", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "wall_s" in capsys.readouterr().err
 
     def test_perf_compare_cli_exit_codes(self, tmp_path, capsys):
         doc = run_perf(tiny_config())

@@ -23,13 +23,13 @@ from repro.core import schemes
 from repro.mem.address_map import AddressMapping
 from repro.mem.dram import DramModel
 from repro.mem.timing import DDR3_1600
-from repro.perf.schema import (
-    cell_key,
+from repro.perf.profile import parse_cell
+from repro.reports import (
+    PERF,
     deterministic_bytes,
     deterministic_view,
     validate_report,
 )
-from repro.perf.profile import parse_cell
 from repro.sim.engine import SimConfig, Simulation
 from repro.traces.spec import spec_trace
 
@@ -134,7 +134,7 @@ class TestGoldenBitIdentity:
         assert validate_report(baseline) == []
 
     def test_baseline_has_pipeline_cell(self, baseline):
-        keys = {cell_key(c) for c in baseline["cells"]}
+        keys = {PERF.key(c) for c in baseline["cells"]}
         assert "ns/mcf@p4" in keys and "ns/mcf" in keys
 
     def test_depth1_bit_identical_to_golden_cells(self, baseline):
@@ -152,17 +152,17 @@ class TestGoldenBitIdentity:
                 # tests/test_sharding.py.
                 continue
             _, result = _run_one_cell(cfg, cell["scheme"], cell["trace"])
-            assert _sim_block(result) == cell["sim"], cell_key(cell)
+            assert _sim_block(result) == cell["sim"], PERF.key(cell)
 
     def test_pipelined_golden_cell_reproduces(self, baseline):
         from repro.perf.runner import _run_one_cell, _sim_block, smoke_config
         cell = next(c for c in baseline["cells"]
-                    if cell_key(c) == "ns/mcf@p4")
+                    if PERF.key(c) == "ns/mcf@p4")
         _, result = _run_one_cell(smoke_config(), "ns", "mcf", depth=4)
         assert _sim_block(result) == cell["sim"]
 
     def test_golden_speedup_gate(self, baseline):
-        cells = {cell_key(c): c for c in baseline["cells"]}
+        cells = {PERF.key(c): c for c in baseline["cells"]}
         serial = cells["ns/mcf"]["sim"]["exec_ns"]
         piped = cells["ns/mcf@p4"]["sim"]["exec_ns"]
         assert serial / piped >= 1.5
@@ -623,9 +623,9 @@ class TestSchema:
         assert "ratio 2.50x" in capsys.readouterr().out
 
     def test_cell_key_depth_suffix(self):
-        assert cell_key(self._cell()) == "ns/mcf"
-        assert cell_key(self._cell(depth=1)) == "ns/mcf"
-        assert cell_key(self._cell(depth=4)) == "ns/mcf@p4"
+        assert PERF.key(self._cell()) == "ns/mcf"
+        assert PERF.key(self._cell(depth=1)) == "ns/mcf"
+        assert PERF.key(self._cell(depth=4)) == "ns/mcf@p4"
 
     def test_pipelined_twin_not_duplicate(self):
         doc = self._doc([self._cell(), self._cell(depth=4)])

@@ -24,10 +24,6 @@ from repro.serve import (
 from repro.serve.chaos import (
     ChaosCell, ChaosConfig, chaos_check, run_chaos,
 )
-from repro.serve.compare import (
-    EXIT_ERROR, EXIT_OK, EXIT_REGRESSION, compare_chaos_reports,
-    compare_files,
-)
 from repro.serve.loadgen import (
     WorkloadConfig, generate_requests, initial_items,
 )
@@ -35,8 +31,9 @@ from repro.serve.request import FAILED, OK, SHED, TIMED_OUT
 from repro.serve.resilience import (
     ResilienceConfig, _journal_view, resilient_replay,
 )
-from repro.serve.schema import (
-    CHAOS_REPORT_KIND, deterministic_bytes, validate_chaos_report,
+from repro.reports import (
+    CHAOS, EXIT_ERROR, EXIT_OK, EXIT_REGRESSION, compare_files,
+    compare_reports, deterministic_bytes, validate_report,
 )
 
 LEVELS = 8
@@ -533,8 +530,8 @@ def mini_chaos_doc():
 
 class TestChaosReport:
     def test_schema_valid_and_gate_clean(self, mini_chaos_doc):
-        assert mini_chaos_doc["kind"] == CHAOS_REPORT_KIND
-        assert validate_chaos_report(mini_chaos_doc) == []
+        assert mini_chaos_doc["kind"] == CHAOS.kind
+        assert validate_report(mini_chaos_doc) == []
         assert chaos_check(mini_chaos_doc) == []
 
     def test_deterministic_across_runs(self, mini_chaos_doc):
@@ -552,22 +549,22 @@ class TestChaosReport:
     def test_schema_rejects_status_mismatch(self, mini_chaos_doc):
         doc = copy.deepcopy(mini_chaos_doc)
         doc["cells"][0]["sim"]["status"]["ok"] += 1
-        assert any("status" in e for e in validate_chaos_report(doc))
+        assert any("status" in e for e in validate_report(doc))
 
     def test_schema_rejects_completion_mismatch(self, mini_chaos_doc):
         doc = copy.deepcopy(mini_chaos_doc)
         doc["cells"][0]["sim"]["completions"] += 1
-        assert validate_chaos_report(doc)
+        assert validate_report(doc)
 
     def test_schema_rejects_bad_availability(self, mini_chaos_doc):
         doc = copy.deepcopy(mini_chaos_doc)
         doc["cells"][0]["sim"]["availability"] = 1.5
-        assert validate_chaos_report(doc)
+        assert validate_report(doc)
 
     def test_schema_rejects_duplicate_cells(self, mini_chaos_doc):
         doc = copy.deepcopy(mini_chaos_doc)
         doc["cells"].append(copy.deepcopy(doc["cells"][0]))
-        assert any("duplicate" in e for e in validate_chaos_report(doc))
+        assert any("duplicate" in e for e in validate_report(doc))
 
 
 class TestChaosCheck:
@@ -605,7 +602,7 @@ class TestChaosCheck:
 
 class TestChaosCompare:
     def test_identical_reports_pass(self, mini_chaos_doc):
-        code, messages = compare_chaos_reports(
+        code, messages = compare_reports(
             mini_chaos_doc, mini_chaos_doc,
         )
         assert code == EXIT_OK
@@ -614,7 +611,7 @@ class TestChaosCompare:
     def test_availability_drop_regresses(self, mini_chaos_doc):
         new = copy.deepcopy(mini_chaos_doc)
         new["cells"][0]["sim"]["availability"] -= 0.05
-        code, messages = compare_chaos_reports(mini_chaos_doc, new)
+        code, messages = compare_reports(mini_chaos_doc, new)
         assert code == EXIT_REGRESSION
         assert any("availability drop" in m for m in messages)
 
@@ -622,7 +619,7 @@ class TestChaosCompare:
         new = copy.deepcopy(mini_chaos_doc)
         sim = new["cells"][0]["sim"]
         sim["latency_ns"]["p99"] *= 2.0
-        code, messages = compare_chaos_reports(mini_chaos_doc, new)
+        code, messages = compare_reports(mini_chaos_doc, new)
         assert code == EXIT_REGRESSION
         assert any("p99-under-fault" in m for m in messages)
 
@@ -631,21 +628,21 @@ class TestChaosCompare:
         new["cells"][1]["sim"]["detection"] = {
             "tamper_injected": 2, "tamper_detected": 1, "rate": 0.5,
         }
-        code, messages = compare_chaos_reports(mini_chaos_doc, new)
+        code, messages = compare_reports(mini_chaos_doc, new)
         assert code == EXIT_REGRESSION
         assert any("detection fell" in m for m in messages)
 
     def test_errored_cell_is_an_error(self, mini_chaos_doc):
         new = copy.deepcopy(mini_chaos_doc)
         new["cells"][1] = {"name": "mini-tamper", "error": "worker died"}
-        code, messages = compare_chaos_reports(mini_chaos_doc, new)
+        code, messages = compare_reports(mini_chaos_doc, new)
         assert code == EXIT_ERROR
         assert any("errored in new report" in m for m in messages)
 
     def test_missing_cell_is_an_error(self, mini_chaos_doc):
         new = copy.deepcopy(mini_chaos_doc)
         del new["cells"][1]
-        code, messages = compare_chaos_reports(mini_chaos_doc, new)
+        code, messages = compare_reports(mini_chaos_doc, new)
         assert code == EXIT_ERROR
         assert any("missing" in m for m in messages)
 
@@ -686,8 +683,8 @@ class TestChaosCli:
         ])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["kind"] == CHAOS_REPORT_KIND
-        assert validate_chaos_report(doc) == []
+        assert doc["kind"] == CHAOS.kind
+        assert validate_report(doc) == []
         captured = capsys.readouterr()
         assert "chaos campaign" in captured.out
         assert "chaos check" in captured.out

@@ -33,7 +33,7 @@ from repro.serve.loadgen import (
     value_for,
     with_seed,
 )
-from repro.serve.schema import (
+from repro.reports import (
     deterministic_bytes,
     deterministic_view,
     validate_report,

@@ -248,8 +248,8 @@ class TestShardedSim:
         merged = out.merged_sim_block()
         assert merged["exec_ns"] == out.exec_ns
         # The merged block carries exactly the serial sim fields.
-        from repro.perf.schema import _SIM_FIELDS
-        assert set(merged) == set(_SIM_FIELDS)
+        from repro.reports import PERF
+        assert set(merged) == set(PERF.cell["sim"])
 
     def test_run_twice_is_byte_identical(self):
         n_blocks = schemes_mod.by_name("ab", 8).n_real_blocks
@@ -606,29 +606,28 @@ class TestScalingHarness:
         assert single["per_shard_bytes"] == single["single_tree_bytes"]
 
     def test_tiny_curve_end_to_end(self):
-        from repro.serve.report import render_scaling_report
-        from repro.serve.scaling import run_scaling, scaling_check
-        from repro.serve.schema import (
-            deterministic_bytes, validate_scaling_report,
+        from repro.reports import (
+            deterministic_bytes, render_report, validate_report,
         )
+        from repro.serve.scaling import run_scaling, scaling_check
         doc = run_scaling(tiny_scaling_config())
-        assert validate_scaling_report(doc) == []
+        assert validate_report(doc) == []
         assert scaling_check(doc) == []
         by_shards = {c["shards"]: c for c in doc["cells"]}
         s1 = by_shards[1]["sim"]["fleet"]["ns_per_request"]
         s2 = by_shards[2]["sim"]["fleet"]["ns_per_request"]
         assert s2 < s1  # two shards drain the window faster than one
-        text = render_scaling_report(doc)
+        text = render_report(doc)
         assert "cap-1k" in text
         # The deterministic view is a pure function of the config.
         again = run_scaling(tiny_scaling_config())
         assert deterministic_bytes(doc) == deterministic_bytes(again)
 
     def test_compare_accepts_self(self):
-        from repro.serve.compare import compare_scaling_reports
+        from repro.reports import compare_reports
         from repro.serve.scaling import run_scaling
         doc = run_scaling(tiny_scaling_config())
-        rc, lines = compare_scaling_reports(doc, doc)
+        rc, lines = compare_reports(doc, doc)
         assert rc == 0
         assert all(line.startswith("OK") for line in lines)
 
@@ -654,12 +653,12 @@ class TestScalingHarness:
 
 class TestPerfShardCells:
     def test_cell_key_spells_out_shards(self):
-        from repro.perf.schema import cell_key
-        assert cell_key({"scheme": "ab", "trace": "mcf"}) == "ab/mcf"
-        assert cell_key(
+        from repro.reports import PERF
+        assert PERF.key({"scheme": "ab", "trace": "mcf"}) == "ab/mcf"
+        assert PERF.key(
             {"scheme": "ab", "trace": "mcf", "shards": 4}
         ) == "ab/mcf@s4"
-        assert cell_key(
+        assert PERF.key(
             {"scheme": "ns", "trace": "mcf", "pipeline_depth": 4}
         ) == "ns/mcf@p4"
 

@@ -50,8 +50,8 @@ TIMING_FIELDS = frozenset(("exec_ns", "ns_per_access", "row_hit_rate"))
 def _load(path: str) -> Dict[str, Any]:
     with open(path) as f:
         doc = json.load(f)
-    from repro.perf.schema import validate_report
-    problems = validate_report(doc)
+    from repro.reports import PERF, validate_report
+    problems = validate_report(doc, PERF)
     if problems:
         raise SystemExit(
             f"{path}: invalid perf report:\n  " + "\n  ".join(problems)
@@ -60,7 +60,7 @@ def _load(path: str) -> Dict[str, Any]:
 
 
 def _cells_by_key(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    from repro.perf.schema import cell_key
+    from repro.reports import PERF
     out = {}
     for cell in doc["cells"]:
         if "error" in cell:
@@ -68,7 +68,7 @@ def _cells_by_key(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
                 f"cell {cell['scheme']}/{cell['trace']} errored:\n"
                 f"{cell['error']}"
             )
-        out[cell_key(cell)] = cell
+        out[PERF.key(cell)] = cell
     return out
 
 

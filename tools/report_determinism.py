@@ -1,30 +1,19 @@
 #!/usr/bin/env python
 """Require two benchmark reports to have identical deterministic views.
 
-The serve/chaos harnesses promise their ``sim`` blocks are pure
-functions of the config -- byte-identical across repeat runs and any
-``--workers`` width. CI enforces that promise by running a harness
-twice (e.g. serial and ``--workers 2``) and feeding both artifacts to
-this checker, and by checking one run against a committed baseline
-(the chaos and faults smoke gates). The checker strips the
-host-dependent fields and compares the canonical JSON encodings byte
-for byte. Dispatch is by the report's
-``kind``: serve, chaos and scaling reports
-(``repro-serve-report`` / ``repro-chaos-report`` /
-``repro-scaling-report`` -- the last is the fleet capacity curve,
-whose per-shard ``sim`` blocks must agree byte-for-byte between a
-serial run and a ``--workers N`` fleet) reduce via
-:func:`repro.serve.schema.deterministic_view`; perf-matrix reports
-(``"kind": "repro-perf-report"``, including their pipelined ``@pN``
-and sharded ``@sN`` cells) via
-:func:`repro.perf.schema.deterministic_view`; fault-campaign reports
-(``"kind": "repro-faults-report"``) via
-:func:`repro.faults.schema.deterministic_view`, which drops only the
-``environment`` block. An unrecognized kind is an error, not a silent
-pass.
+Every harness report's deterministic view -- the report minus its
+``environment`` block and its kind's host-dependent cell fields
+(:func:`repro.reports.deterministic_view`) -- is a pure function of the
+config: byte-identical across repeat runs, hosts and any ``--workers``
+width. The smoke gates run a harness twice (serial and ``--workers 2``)
+and feed both reports to this checker, and check one run against its
+committed baseline. Works for every kind :mod:`repro.reports` declares
+(perf, faults, serve, chaos, scaling); reports of different kinds, or
+of a kind it does not declare, are an error, never a silent pass.
 
 Usage: ``python tools/report_determinism.py A.json B.json`` -- exits
-non-zero with the first differing path when the reports diverge.
+0 when the views match, 1 with the first differing path when they
+diverge, 2 when a report cannot be read or has an unknown kind.
 """
 
 from __future__ import annotations
@@ -64,30 +53,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             with open(path) as f:
                 docs.append(json.load(f))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return 2
     a, b = docs
-    from repro.faults.schema import REPORT_KIND as FAULTS_KIND
-    from repro.perf.schema import REPORT_KIND as PERF_KIND
-    from repro.serve.schema import (
-        CHAOS_REPORT_KIND, REPORT_KIND as SERVE_KIND, SCALING_REPORT_KIND,
-    )
-    if a.get("kind") != b.get("kind"):
-        print(f"report kinds differ: {a.get('kind')!r} vs {b.get('kind')!r}",
+    from repro.reports import deterministic_bytes, deterministic_view, kind_of
+
+    try:
+        kinds = [kind_of(doc).kind for doc in docs]
+    except ValueError as exc:
+        print(f"cannot reduce to a deterministic view: {exc}", file=sys.stderr)
+        return 2
+    if kinds[0] != kinds[1]:
+        print(f"report kinds differ: {kinds[0]!r} vs {kinds[1]!r}",
               file=sys.stderr)
         return 1
-    kind = a.get("kind")
-    if kind == PERF_KIND:
-        from repro.perf.schema import deterministic_bytes, deterministic_view
-    elif kind == FAULTS_KIND:
-        from repro.faults.schema import deterministic_bytes, deterministic_view
-    elif kind in (SERVE_KIND, CHAOS_REPORT_KIND, SCALING_REPORT_KIND):
-        from repro.serve.schema import deterministic_bytes, deterministic_view
-    else:
-        print(f"unrecognized report kind {kind!r}; cannot reduce to a "
-              f"deterministic view", file=sys.stderr)
-        return 2
     if deterministic_bytes(a) == deterministic_bytes(b):
         print(f"deterministic views identical: {args.reports[0]} == "
               f"{args.reports[1]}")
